@@ -5,16 +5,24 @@ prompt, stream=false, optional format="json", and sampling options; the
 completion comes back in the "response" field. POST <endpoint>/api/embeddings
 with {"model", "prompt"} returns {"embedding": [...]}. The environment
 variable EXTRACTOR_LM_ENDPOINT overrides any configured endpoint.
+
+Transport settings are the module constants DEFAULT_TIMEOUT (seconds per
+attempt), DEFAULT_RETRIES (extra attempts after a timeout or connection
+failure) and DEFAULT_RETRY_BASE (first backoff in seconds, doubled per retry);
+each request reads them when it is made.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_RETRIES = 3
@@ -99,37 +107,40 @@ def resolve_endpoint(configured: str | None) -> str:
     return endpoint.rstrip("/")
 
 
-def _post_with_retries(url: str, payload: dict, timeout: float, retries: int,
-                       retry_base: float) -> dict:
+def _post_with_retries(url: str, payload: dict) -> dict:
+    body = json.dumps(payload).encode("utf-8")
     last_error: LmClientError | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(DEFAULT_RETRIES + 1):
+        request = urllib.request.Request(url, data=body,
+                                         headers={"Content-Type": "application/json"})
         try:
-            resp = requests.post(url, json=payload, timeout=timeout)
-        except requests.Timeout as e:
-            last_error = RequestTimeout(f"{url}: timed out after {timeout}s")
-            last_error.__cause__ = e
-        except requests.RequestException as e:
-            last_error = TransportError(f"{url}: {e}")
+            with urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT) as resp:
+                status, text = resp.status, resp.read().decode("utf-8", "replace")
+        except urllib.error.HTTPError as e:  # before URLError: it is a subclass
+            raise ProtocolError(e.code, e.read().decode("utf-8", "replace")) from e
+        except (OSError, http.client.HTTPException) as e:
+            reason = e.reason if isinstance(e, urllib.error.URLError) else e
+            if isinstance(reason, TimeoutError):
+                last_error = RequestTimeout(f"{url}: timed out after {DEFAULT_TIMEOUT}s")
+            else:
+                last_error = TransportError(f"{url}: {reason}")
             last_error.__cause__ = e
         else:
-            if not 200 <= resp.status_code < 300:
-                raise ProtocolError(resp.status_code, resp.text)
             try:
-                return resp.json()
+                return json.loads(text)
             except ValueError as e:
-                raise ProtocolError(resp.status_code, f"non-JSON body: {resp.text[:100]}") from e
-        if attempt < retries:
-            time.sleep(retry_base * (2 ** attempt))
+                raise ProtocolError(status, f"non-JSON body: {text[:100]}") from e
+        if attempt < DEFAULT_RETRIES:
+            time.sleep(DEFAULT_RETRY_BASE * (2 ** attempt))
     assert last_error is not None
     raise last_error
 
 
-def generate(endpoint: str, request: GenerationRequest, timeout: float = DEFAULT_TIMEOUT,
-             retries: int = DEFAULT_RETRIES, retry_base: float = DEFAULT_RETRY_BASE) -> GenerationResponse:
+def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
     """One non-streaming generation call; transient transport failures are retried."""
     url = resolve_endpoint(endpoint) + "/api/generate"
     start = time.perf_counter()
-    data = _post_with_retries(url, request.to_payload(), timeout, retries, retry_base)
+    data = _post_with_retries(url, request.to_payload())
     latency_ms = (time.perf_counter() - start) * 1000.0
     if "response" not in data:
         raise ProtocolError(200, "missing 'response' field")
@@ -140,15 +151,14 @@ def generate(endpoint: str, request: GenerationRequest, timeout: float = DEFAULT
     )
 
 
-def embed(endpoint: str, model: str, texts: list[str], timeout: float = DEFAULT_TIMEOUT,
-          retries: int = DEFAULT_RETRIES, retry_base: float = DEFAULT_RETRY_BASE) -> np.ndarray:
+def embed(endpoint: str, model: str, texts: list[str]) -> np.ndarray:
     """Embed each text through the server; rows come back L2-normalized."""
     if not texts:
         raise ValueError("texts must be nonempty")
     url = resolve_endpoint(endpoint) + "/api/embeddings"
     rows = []
     for text in texts:
-        data = _post_with_retries(url, {"model": model, "prompt": text}, timeout, retries, retry_base)
+        data = _post_with_retries(url, {"model": model, "prompt": text})
         if "embedding" not in data:
             raise ProtocolError(200, "missing 'embedding' field")
         try:

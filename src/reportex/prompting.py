@@ -8,7 +8,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 
 from .corpus import LabelSchema, Task
 from .retrieval import RetrievedContext
@@ -145,13 +144,6 @@ class PromptTemplates:
         return cls(
             simple=pkg.joinpath("simple.txt").read_text("utf-8"),
             complex=pkg.joinpath("complex.txt").read_text("utf-8"),
-        )
-
-    @classmethod
-    def from_files(cls, simple_path, complex_path) -> "PromptTemplates":
-        return cls(
-            simple=Path(simple_path).read_text(encoding="utf-8"),
-            complex=Path(complex_path).read_text(encoding="utf-8"),
         )
 
 

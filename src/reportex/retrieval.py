@@ -282,15 +282,14 @@ class TokenOverlapReranker:
 class RemoteEmbedder:
     """Embedding backend that calls a model server over the wire protocol."""
 
-    def __init__(self, endpoint: str, model: str, timeout: float = 120.0):
+    def __init__(self, endpoint: str, model: str):
         self.endpoint = endpoint
         self.model = model
-        self.timeout = timeout
 
     def embed(self, texts: list[str]) -> np.ndarray:
         from . import lm_client
 
-        return lm_client.embed(self.endpoint, self.model, texts, timeout=self.timeout)
+        return lm_client.embed(self.endpoint, self.model, texts)
 
 
 RETRIEVAL_MODES = ("off", "dense", "hybrid", "sequential")

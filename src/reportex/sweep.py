@@ -239,11 +239,10 @@ class PipelineBackends:
     reranker: RerankScorer
 
     @classmethod
-    def remote(cls, endpoint: str, embed_model: str = "gte-large",
-               timeout: float = 120.0) -> "PipelineBackends":
+    def remote(cls, endpoint: str, embed_model: str = "gte-large") -> "PipelineBackends":
         return cls(
-            generate=lambda req: generate(endpoint, req, timeout=timeout),
-            embedder=RemoteEmbedder(endpoint, embed_model, timeout=timeout),
+            generate=lambda req: generate(endpoint, req),
+            embedder=RemoteEmbedder(endpoint, embed_model),
             reranker=TokenOverlapReranker(),
         )
 
@@ -383,9 +382,9 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
         backends = PipelineBackends.remote(endpoint, embed_model=embed_models.pop())
     pending = [
         (report, config)
-        for config in configs
+        for config, config_hash in ((c, c.config_hash) for c in configs)
         for report in reports
-        if (report.id, config.config_hash) not in store
+        if (report.id, config_hash) not in store
     ]
     context_cache: dict = {}
     done = 0
@@ -471,9 +470,7 @@ class AggregateResult:
     def comparisons_json(self) -> dict:
         return {
             "comparisons": [c.to_dict() for c in self.comparisons],
-            "correlations": {
-                k: (v if isinstance(v, str) else v) for k, v in self.correlations.items()
-            },
+            "correlations": dict(self.correlations),
         }
 
 

@@ -1,11 +1,22 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reportex
+from reportex import lm_client
 from reportex.corpus import Task, default_corpus_spec, generate_synthetic_corpus
 from reportex.lm_client import (
     GenerationRequest,
+    ProtocolError,
+    RequestTimeout,
     TransportError,
     embed,
     generate,
@@ -79,10 +90,11 @@ class TestGenerateWire:
         resp = generate(server.endpoint, GenerationRequest("m1", "completely unknown text"))
         assert resp.raw_text in load_garbage_fixtures()
 
-    def test_server_down_transport_error_after_retries(self):
+    def test_server_down_transport_error_after_retries(self, monkeypatch):
+        monkeypatch.setattr(lm_client, "DEFAULT_RETRIES", 3)
+        monkeypatch.setattr(lm_client, "DEFAULT_RETRY_BASE", 0.001)
         with pytest.raises(TransportError):
-            generate("http://127.0.0.1:9", GenerationRequest("m", "p"),
-                     retries=3, retry_base=0.001)
+            generate("http://127.0.0.1:9", GenerationRequest("m", "p"))
 
     def test_env_var_overrides_endpoint(self, oracle_server, monkeypatch):
         server, reports, gold = oracle_server
@@ -90,6 +102,58 @@ class TestGenerateWire:
         resp = generate("http://127.0.0.1:9", GenerationRequest("m", reports[0].text))
         assert json.loads(resp.raw_text)["score"] == gold[reports[0].id]
         assert resolve_endpoint(None) == server.endpoint
+
+
+class _NotJsonHandler(BaseHTTPRequestHandler):
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = b"<html>not json</html>"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestErrorMapping:
+    def test_unknown_path_is_protocol_error_404(self, oracle_server):
+        server, _, _ = oracle_server
+        with pytest.raises(ProtocolError) as info:
+            generate(server.endpoint + "/no-such-prefix", GenerationRequest("m", "p"))
+        assert info.value.status == 404
+
+    def test_non_json_2xx_body_is_protocol_error(self):
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _NotJsonHandler)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = httpd.server_address[:2]
+            with pytest.raises(ProtocolError) as info:
+                generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
+            assert info.value.status == 200
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
+    def test_silent_server_is_request_timeout(self, monkeypatch):
+        monkeypatch.setattr(lm_client, "DEFAULT_TIMEOUT", 0.05)
+        monkeypatch.setattr(lm_client, "DEFAULT_RETRY_BASE", 0.001)
+        with socket.socket() as listener:  # accepts connections, never answers
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(8)
+            host, port = listener.getsockname()
+            with pytest.raises(RequestTimeout):
+                generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
+
+    def test_import_leaves_requests_unloaded(self):
+        src = str(Path(reportex.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c",
+                        "import reportex, sys; assert 'requests' not in sys.modules"],
+                       check=True, env=env)
 
 
 class TestEmbedWire:
