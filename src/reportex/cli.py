@@ -88,8 +88,7 @@ def cmd_extract(args) -> int:
         return _fail(EXIT_CONFIG, str(e))
     backends = PipelineBackends.remote(endpoint, embed_model=config.retrieval.embed_model)
     try:
-        record = extract_one(report, schema, config, backends, capture_errors=False,
-                             no_timestamps=args.no_timestamps)
+        record = extract_one(report, schema, config, backends, capture_errors=False)
     except (TransportError, RequestTimeout) as e:
         return _fail(EXIT_BACKEND, f"backend unreachable: {e}")
     except ProtocolError as e:
@@ -107,10 +106,10 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_inputs(args, need_grid: bool = True):
+def _load_inputs(args):
     schema = load_schema(args.schema)
     reports, annotations = load_corpus(args.corpus)
-    grid = SweepGrid.from_file(args.grid) if need_grid else None
+    grid = SweepGrid.from_file(args.grid)
     return schema, reports, annotations, grid
 
 
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True, help="label schema JSON file")
     p.add_argument("--endpoint", default=None, help="model server endpoint")
     p.add_argument("--show-raw", action="store_true", help="include raw model output")
-    p.add_argument("--no-timestamps", action="store_true", help="zero volatile fields")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("sweep", help="run or resume a configuration sweep")

@@ -252,7 +252,9 @@ class MockLmServer:
         self.model = model
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.model = model  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # shutdown() waits up to one poll interval; the 0.5 s default slows stop().
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
 
     @property
     def endpoint(self) -> str:

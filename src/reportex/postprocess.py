@@ -1,7 +1,8 @@
 """Recover a validated categorical label from arbitrary raw model output.
 
 Every function here is total: malformed input maps to an Invalid reason,
-never an exception.
+never an exception. The JSON payload of a completion is the object that the
+standard-library decoder parses from the first "{" where it can parse one.
 """
 
 from __future__ import annotations
@@ -79,43 +80,33 @@ def clean_artifacts(raw: str) -> str:
     return s
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _first_object(cleaned: str) -> tuple[dict, int, int] | None:
+    """The first JSON object in cleaned with its [start, end) span, or None.
+
+    A "{" where the decoder fails (bad syntax, an over-long integer, nesting
+    past the recursion limit) starts no object.
+    """
+    start = cleaned.find("{")
+    while start != -1:
+        try:
+            obj, end = _DECODER.raw_decode(cleaned, start)
+            return obj, start, end
+        except (ValueError, RecursionError):
+            start = cleaned.find("{", start + 1)
+    return None
+
+
 def extract_json_payload(cleaned: str) -> str | None:
-    """Return the first balanced {...} substring that parses as a JSON object.
+    """Return the first {...} substring that parses as a JSON object.
 
     Surrounding prose is ignored; with multiple objects the first parseable one
     wins. Returns None when no parseable object exists.
     """
-    start = cleaned.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escape = False
-        for j in range(start, len(cleaned)):
-            ch = cleaned[j]
-            if in_string:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    candidate = cleaned[start : j + 1]
-                    try:
-                        if isinstance(json.loads(candidate), dict):
-                            return candidate
-                    except json.JSONDecodeError:
-                        pass
-                    break
-        start = cleaned.find("{", start + 1)
-    return None
+    found = _first_object(cleaned)
+    return None if found is None else cleaned[found[1] : found[2]]
 
 
 @lru_cache(maxsize=None)
@@ -162,10 +153,10 @@ def parse_label(raw: str, schema: LabelSchema) -> ParsedLabel:
     if not isinstance(raw, str) or not raw.strip():
         return ParsedLabel.invalid(InvalidReason.EMPTY)
     cleaned = clean_artifacts(raw)
-    payload = extract_json_payload(cleaned)
-    if payload is None:
+    found = _first_object(cleaned)
+    if found is None:
         return ParsedLabel.invalid(InvalidReason.NO_JSON)
-    obj = json.loads(payload)
+    obj = found[0]
 
     alt_key = None
     if schema.answer_key in obj:

@@ -369,8 +369,8 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
 
     Workers run extractions concurrently (bounded pool); only this thread
     appends to the store, one durable record per completed pair. Backend
-    failures become invalid records rather than aborting, and interrupted
-    sweeps resume by skipping completed pairs.
+    failures become invalid records; any exception that stops the sweep cancels
+    the queued pairs. Interrupted sweeps resume by skipping completed pairs.
     """
     if parallelism < 1:
         raise SweepError("parallelism must be >= 1")
@@ -396,11 +396,15 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
         ]
         # Consume in submission order: the store stays deterministic under a
         # deterministic backend, and a crash only loses work that resume recomputes.
-        for future in futures:
-            store.append(future.result())
-            done += 1
-            if progress is not None:
-                progress(done, len(pending))
+        try:
+            for future in futures:
+                store.append(future.result())
+                done += 1
+                if progress is not None:
+                    progress(done, len(pending))
+        except BaseException:  # Ctrl-C, a failing append or progress callback
+            pool.shutdown(cancel_futures=True)
+            raise
     return store
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,3 +174,36 @@ class TestCanonicalize:
 
     def test_unknown_returns_none(self, radiology_schema):
         assert canonicalize_value("banana", radiology_schema) is None
+
+
+_JSON_SYNTAX = '{}[]":,\\ ' + "abcdefghijklmnopqrstuvwxyz" + "0123456789"
+
+
+class TestDecoderTotality:
+    """Inputs the standard-library decoder rejects mean "no object here", never an exception."""
+
+    def test_integer_past_digit_limit_is_invalid(self, radiology_schema):
+        parsed = parse_label('{"score": ' + "7" * 5000 + "}", radiology_schema)
+        assert not parsed.is_valid
+        assert parsed.reason is InvalidReason.NO_JSON
+
+    def test_nesting_past_recursion_limit_is_total(self, radiology_schema):
+        # The decoder's depth limit follows the recursion limit, so only
+        # totality is asserted, not which inner object (if any) is recovered.
+        raw = '{"a":' * 5000 + "1" + "}" * 5000
+        assert isinstance(parse_label(raw, radiology_schema), ParsedLabel)
+
+    def test_unmatched_braces_scan_in_linear_time(self, radiology_schema):
+        start = time.perf_counter()
+        parsed = parse_label("{" * 20000, radiology_schema)
+        assert time.perf_counter() - start < 2.0
+        assert parsed.reason is InvalidReason.NO_JSON
+
+    @given(st.text(alphabet=_JSON_SYNTAX, max_size=300))
+    @settings(max_examples=300)
+    def test_json_syntax_text_total(self, s):
+        from reportex.corpus import RADIOLOGY_SCHEMA
+        parsed = parse_label(s, RADIOLOGY_SCHEMA)
+        assert parsed.is_valid or parsed.reason is not None
+        payload = extract_json_payload(clean_artifacts(s))
+        assert payload is None or isinstance(json.loads(payload), dict)

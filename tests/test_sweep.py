@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -467,3 +468,42 @@ class TestAggregate:
     def test_record_seed_stable(self):
         assert record_seed(1, "r1") == record_seed(1, "r1")
         assert record_seed(1, "r1") != record_seed(2, "r1")
+
+
+class TestSweepStops:
+    def test_overlong_integer_completion_stores_invalid_records(self, tmp_path,
+                                                                radiology_corpus):
+        reports, _ = radiology_corpus
+        raw = '{"score": ' + "7" * 5000 + "}"
+        backends = PipelineBackends(generate=lambda req: GenerationResponse(raw, 0.0, req.model),
+                                    embedder=MockHashEmbedder(), reranker=TokenOverlapReranker())
+        configs = [_config(), _config(top_k=2)]
+        store = run_sweep(reports[:5], configs, None, tmp_path / "big.jsonl", RADIOLOGY_SCHEMA,
+                          parallelism=2, backends=backends, no_timestamps=True)
+        assert len(store) == 10
+        assert all(not r.parsed.is_valid and r.error is None for r in store.records)
+
+    def test_stop_cancels_queued_pairs(self, tmp_path, radiology_corpus, oracle_backends):
+        reports, _ = radiology_corpus
+        calls = []
+
+        def counting_generate(req):
+            calls.append(req.seed)
+            time.sleep(0.02)
+            return oracle_backends.generate(req)
+
+        backends = PipelineBackends(generate=counting_generate, embedder=oracle_backends.embedder,
+                                    reranker=oracle_backends.reranker)
+
+        def progress(done, pending):
+            if done == 5:
+                raise KeyboardInterrupt
+
+        configs = [_config(), _config(top_k=2)]
+        pending = len(reports) * len(configs)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(reports, configs, None, tmp_path / "stop.jsonl", RADIOLOGY_SCHEMA,
+                      parallelism=2, backends=backends, no_timestamps=True,
+                      progress=progress)
+        assert len(calls) < pending / 4
+        assert len(ResultStore.open(tmp_path / "stop.jsonl")) == 5
