@@ -27,7 +27,7 @@ print(f"report {report.id}: {report.word_count} words, gold IDH status = {gold[r
 chunks = split_recursive(report.text, chunk_size=70, overlap=20, report_id=report.id)
 print(f"\nsplit into {len(chunks)} chunks of <= 70 characters; first three:")
 for c in chunks[:3]:
-    print(f"  [{c.index}] span={c.char_span} {c.text!r}")
+    print(f"  [{c.index}] span={(c.start, c.end)} {c.text!r}")
 
 query = PATHOLOGY_SCHEMA.retrieval_keywords
 query_terms = tokenize(query)

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -44,18 +45,12 @@ def _fail(code: int, message: str) -> int:
 def cmd_generate_corpus(args) -> int:
     try:
         spec_obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        task = Task(spec_obj["task"])
-        defaults = default_corpus_spec(task, spec_obj.get("n_reports", 1000),
-                                       spec_obj.get("seed", 0))
-        spec = CorpusSpec(
-            task=task,
-            n_reports=spec_obj.get("n_reports", defaults.n_reports),
-            class_distribution=spec_obj.get("class_distribution", defaults.class_distribution),
-            length_mean_words=spec_obj.get("length_mean_words", defaults.length_mean_words),
-            length_sd_words=spec_obj.get("length_sd_words", defaults.length_sd_words),
-            distractor_rate=spec_obj.get("distractor_rate", defaults.distractor_rate),
-            seed=args.seed if args.seed is not None else spec_obj.get("seed", defaults.seed),
-        )
+        # Fields the file sets override the task's defaults; other keys are ignored.
+        given = {f.name: spec_obj[f.name] for f in fields(CorpusSpec) if f.name in spec_obj}
+        given["task"] = Task(spec_obj["task"])
+        if args.seed is not None:
+            given["seed"] = args.seed
+        spec = replace(default_corpus_spec(given["task"], n_reports=1000, seed=0), **given)
         reports, annotations = corpus_mod.generate_synthetic_corpus(spec)
         corpus_mod.save_corpus(args.out, reports, annotations)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:

@@ -1,4 +1,9 @@
-"""Report data model, text normalization, synthetic corpus generation, persistence."""
+"""Report data model, text normalization, synthetic corpus generation, persistence.
+
+The built-in label schemas RADIOLOGY_SCHEMA and PATHOLOGY_SCHEMA are the
+shipped files data/radiology_schema.json and data/pathology_schema.json,
+loaded at import.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from importlib import resources
 from pathlib import Path
 
 
@@ -33,24 +39,21 @@ class Report:
     id: str
     task: Task
     text: str
-    word_count: int
 
     def __post_init__(self):
         if not self.id:
             raise CorpusError("report id must be nonempty")
         if "\n" in self.text or "\r" in self.text:
             raise CorpusError(f"report {self.id}: text contains newline characters")
-        n = len(self.text.split())
-        if self.word_count != n:
-            raise CorpusError(
-                f"report {self.id}: word_count {self.word_count} != token count {n}"
-            )
+
+    @property
+    def word_count(self) -> int:
+        return len(self.text.split())
 
 
 def make_report(report_id: str, task: Task, raw_text: str) -> Report:
-    """Build a Report from raw text, normalizing and computing the word count."""
-    text = normalize_text(raw_text)
-    return Report(id=report_id, task=Task(task), text=text, word_count=len(text.split()))
+    """Build a Report from raw text, normalizing whitespace."""
+    return Report(id=report_id, task=Task(task), text=normalize_text(raw_text))
 
 
 @dataclass(frozen=True)
@@ -81,22 +84,33 @@ class LabelSchema:
         return {l.strip().casefold(): l for l in self.valid_labels}
 
 
-RADIOLOGY_SCHEMA = LabelSchema(
-    task=Task.RADIOLOGY,
-    valid_labels=("0", "1", "1a", "1b", "2", "2a", "2b", "3", "3a", "3b", "3c", "4", "NR"),
-    nr_label="NR",
-    answer_key="score",
-    retrieval_keywords="follow-up score",
-)
+def save_schema(path, schema: LabelSchema) -> None:
+    obj = {
+        "task": schema.task.value,
+        "valid_labels": list(schema.valid_labels),
+        "nr_label": schema.nr_label,
+        "answer_key": schema.answer_key,
+        "retrieval_keywords": schema.retrieval_keywords,
+    }
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
-PATHOLOGY_SCHEMA = LabelSchema(
-    task=Task.PATHOLOGY,
-    valid_labels=("positive", "negative", "NR"),
-    nr_label="NR",
-    answer_key="idh_status",
-    retrieval_keywords="IDH IDH1 IDH2 IDH1/IDH2 detected positive negative",
-)
 
+def load_schema(path) -> LabelSchema:
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return LabelSchema(
+            task=Task(obj["task"]),
+            valid_labels=tuple(obj["valid_labels"]),
+            nr_label=obj["nr_label"],
+            answer_key=obj["answer_key"],
+            retrieval_keywords=obj["retrieval_keywords"],
+        )
+    except (json.JSONDecodeError, KeyError, ValueError) as e:
+        raise CorpusError(f"{path}: invalid schema file ({e})") from e
+
+
+RADIOLOGY_SCHEMA = load_schema(resources.files("reportex.data") / "radiology_schema.json")
+PATHOLOGY_SCHEMA = load_schema(resources.files("reportex.data") / "pathology_schema.json")
 BUILTIN_SCHEMAS = {Task.RADIOLOGY: RADIOLOGY_SCHEMA, Task.PATHOLOGY: PATHOLOGY_SCHEMA}
 
 # Reference class distributions for the two tasks. The radiology percentages are
@@ -203,16 +217,14 @@ def _filler_sentence(rng: random.Random, vocab: tuple[str, ...]) -> str:
     return words[0].capitalize() + " " + " ".join(words[1:]) + "."
 
 
-def generate_synthetic_corpus(
-    spec: CorpusSpec, schema: LabelSchema | None = None
-) -> tuple[list[Report], list[GoldAnnotation]]:
+def generate_synthetic_corpus(spec: CorpusSpec) -> tuple[list[Report], list[GoldAnnotation]]:
     """Generate a labeled synthetic corpus, deterministic given spec.seed.
 
     Each report is a single paragraph of filler sentences. Non-NR reports embed
     the task's answer sentence at a random position; with probability
     distractor_rate a non-answer mention of the target concept is inserted.
     """
-    schema = schema or BUILTIN_SCHEMAS[spec.task]
+    schema = BUILTIN_SCHEMAS[spec.task]
     unknown = set(spec.class_distribution) - set(schema.valid_labels)
     if unknown:
         raise CorpusError(f"distribution references labels outside the schema: {sorted(unknown)}")
@@ -275,12 +287,7 @@ def load_corpus(path) -> tuple[list[Report], list[GoldAnnotation]]:
             except json.JSONDecodeError as e:
                 raise CorpusError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from e
             try:
-                report = Report(
-                    id=obj["id"],
-                    task=Task(obj["task"]),
-                    text=obj["text"],
-                    word_count=len(obj["text"].split()),
-                )
+                report = Report(id=obj["id"], task=Task(obj["task"]), text=obj["text"])
             except (KeyError, ValueError) as e:
                 raise CorpusError(f"{path}: line {lineno}: invalid report ({e})") from e
             if report.id in seen:
@@ -290,28 +297,3 @@ def load_corpus(path) -> tuple[list[Report], list[GoldAnnotation]]:
             if "label" in obj:
                 annotations.append(GoldAnnotation(report.id, obj["label"]))
     return reports, annotations
-
-
-def save_schema(path, schema: LabelSchema) -> None:
-    obj = {
-        "task": schema.task.value,
-        "valid_labels": list(schema.valid_labels),
-        "nr_label": schema.nr_label,
-        "answer_key": schema.answer_key,
-        "retrieval_keywords": schema.retrieval_keywords,
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
-def load_schema(path) -> LabelSchema:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return LabelSchema(
-            task=Task(obj["task"]),
-            valid_labels=tuple(obj["valid_labels"]),
-            nr_label=obj["nr_label"],
-            answer_key=obj["answer_key"],
-            retrieval_keywords=obj["retrieval_keywords"],
-        )
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
-        raise CorpusError(f"{path}: invalid schema file ({e})") from e

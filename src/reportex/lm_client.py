@@ -79,19 +79,6 @@ class GenerationRequest:
             payload["format"] = "json"
         return payload
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GenerationRequest":
-        options = payload.get("options", {})
-        return cls(
-            model=payload["model"],
-            prompt=payload["prompt"],
-            json_mode=payload.get("format") == "json",
-            temperature=options.get("temperature", 0.0),
-            top_k=options.get("top_k", 40),
-            top_p=options.get("top_p", 0.9),
-            seed=options.get("seed"),
-        )
-
 
 @dataclass(frozen=True)
 class GenerationResponse:

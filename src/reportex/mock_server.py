@@ -6,6 +6,11 @@ a substring-shingle index over the corpus: 16-character windows unique to one
 report vote for its id, and windows unique to one gold label (from the
 synthetic answer-sentence templates) act as a fallback when a selected chunk
 carries no report-unique text. Unknown prompts get a garbage-mode response.
+
+The constant prompt text must never vote, so every window of it is removed
+from both indexes. That text is taken from `prompting.build_prompt` itself:
+its renders of all twelve strategies with the built-in exemplars and an empty
+context. Only `prompting` knows the prompt wording.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import LabelSchema, Report, answer_sentence
-from .prompting import PromptTemplates, default_exemplars
-from .retrieval import MockHashEmbedder
+from .prompting import FewShot, PromptStrategy, PromptStyle, build_prompt, default_exemplars
+from .retrieval import MockHashEmbedder, RetrievedContext
 
 _SHINGLE = 16
 _HASH_BASE = np.uint64(1099511628211)  # FNV prime; products wrap mod 2**64
@@ -44,6 +49,39 @@ def _window_hashes(text: str) -> np.ndarray:
         windows = sliding_window_view(data[start : end + _SHINGLE - 1], _SHINGLE)
         out[start:end] = (windows.astype(np.uint64) * _HASH_WEIGHTS).sum(axis=1)
     return out
+
+
+def _claim(index: dict[int, str | None], text: str, owner: str | None) -> None:
+    """Give every window of `text` to `owner`. A window claimed by two owners,
+    or by owner None, belongs to nobody and can never vote."""
+    for h in _window_hashes(text).tolist():
+        index[h] = owner if index.get(h, owner) == owner else None
+
+
+def _vote(index: dict[int, str | None], prompt: str) -> str | None:
+    """The owner of the most prompt windows, ties to the greatest owner; None
+    if no window votes. The scan may stop once the leader is 25 votes ahead."""
+    votes: Counter[str] = Counter()
+    for scanned, h in enumerate(_window_hashes(prompt).tolist(), start=1):
+        owner = index.get(h)
+        if owner is not None:
+            votes[owner] += 1
+        if scanned % 256 == 0 and votes:
+            (_, top_n), *rest = votes.most_common(2)
+            if top_n >= 25 and (not rest or top_n - rest[0][1] >= 25):
+                break
+    if not votes:
+        return None
+    return max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
+
+
+def _static_prompt_text(schema: LabelSchema) -> list[str]:
+    """Every strategy's prompt for an empty context: the text all prompts share."""
+    empty = RetrievedContext("", False, None, ())
+    exemplars = default_exemplars(schema)
+    return [build_prompt(empty, schema, PromptStrategy(style, few_shot, json_instruction),
+                         exemplars)
+            for style in PromptStyle for few_shot in FewShot for json_instruction in (False, True)]
 
 
 class MockMode(str, Enum):
@@ -89,75 +127,16 @@ class MockModel:
         self.garbage = load_garbage_fixtures()
         self.malformed = load_malformed_templates()
         self.embedder = MockHashEmbedder(dimension=64, seed=seed)
-        self._uniq: dict[int, str | None] = {}
+        self._report_index: dict[int, str | None] = {}
         for r in reports:
-            self._index_text(r.id, r.text)
-        self._label_index = self._build_label_index()
-        for text in self._static_prompt_material():
-            self._tombstone(text)
-
-    def _index_text(self, report_id: str, text: str) -> None:
-        uniq = self._uniq
-        for h in _window_hashes(text).tolist():
-            owner = uniq.get(h, report_id)
-            uniq[h] = report_id if owner == report_id else None
-
-    def _static_prompt_material(self) -> list[str]:
-        """Constant prompt text (templates, built-in exemplars) that appears in
-        every prompt and therefore must never vote for a report or a label."""
-        templates = PromptTemplates.default()
-        texts = [templates.simple, templates.complex]
-        key = self.schema.answer_key
-        for e in default_exemplars(self.schema):
-            texts.append(e.snippet)
-            texts.append(f"Answer: {e.answer}")
-            texts.append(f'Answer: {{"{key}": "{e.answer}"}}')
-        texts.append(f'Reply with exactly one JSON object of the form '
-                     f'{{"{key}": "<answer>"}} and no other text.')
-        return texts
-
-    def _tombstone(self, text: str) -> None:
-        for h in _window_hashes(text).tolist():
-            if h in self._uniq:
-                self._uniq[h] = None
-            if h in self._label_index:
-                self._label_index[h] = None
-
-    def _build_label_index(self) -> dict[int, str | None]:
-        index: dict[int, str | None] = {}
-        for label in self.schema.valid_labels:
-            if label == self.schema.nr_label:
-                continue
-            sentence = answer_sentence(self.schema.task, label)
-            for h in _window_hashes(sentence).tolist():
-                owner = index.get(h, label)
-                index[h] = label if owner == label else None
-        return index
-
-    def _resolve_report(self, prompt: str) -> str | None:
-        votes: Counter[str] = Counter()
-        uniq = self._uniq
-        for scanned, h in enumerate(_window_hashes(prompt).tolist(), start=1):
-            rid = uniq.get(h)
-            if rid is not None:
-                votes[rid] += 1
-            if scanned % 256 == 0 and votes:
-                (_, top_n), *rest = votes.most_common(2)
-                if top_n >= 25 and (not rest or top_n - rest[0][1] >= 25):
-                    break
-        if not votes:
-            return None
-        return max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
-    def _resolve_label(self, prompt: str) -> str | None:
-        votes: Counter[str] = Counter()
-        for h in _window_hashes(prompt).tolist():
-            label = self._label_index.get(h)
-            if label is not None:
-                votes[label] += 1
-        if not votes:
-            return None
-        return max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
+            _claim(self._report_index, r.text, r.id)
+        self._label_index: dict[int, str | None] = {}
+        for label in schema.valid_labels:
+            if label != schema.nr_label:
+                _claim(self._label_index, answer_sentence(schema.task, label), label)
+        for text in _static_prompt_text(schema):
+            _claim(self._report_index, text, None)
+            _claim(self._label_index, text, None)
 
     def _rng(self, model: str, prompt: str, seed: int | None) -> random.Random:
         request_seed = seed if seed is not None else _h64(prompt)
@@ -185,11 +164,11 @@ class MockModel:
         if self.mode is MockMode.GARBAGE:
             return self._wire(model, self._garbage_response(prompt))
 
-        report_id = self._resolve_report(prompt)
+        report_id = _vote(self._report_index, prompt)
         if report_id is not None and report_id in self.gold:
             label = self.gold[report_id]
         else:
-            label = self._resolve_label(prompt)
+            label = _vote(self._label_index, prompt)
             if label is None:
                 return self._wire(model, self._garbage_response(prompt))
 

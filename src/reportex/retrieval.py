@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Protocol
 
 import numpy as np
@@ -39,10 +39,6 @@ class Chunk:
     text: str
     start: int
     end: int
-
-    @property
-    def char_span(self) -> tuple[int, int]:
-        return (self.start, self.end)
 
 
 def split_recursive(text: str, chunk_size: int = 70, overlap: int = 20, report_id: str = "") -> list[Chunk]:
@@ -317,12 +313,7 @@ class RetrievalSettings:
         Bm25Params(self.bm25_k1, self.bm25_b)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "chunk_size": self.chunk_size, "overlap": self.overlap,
-            "candidates": self.candidates, "shortlist": self.shortlist,
-            "rerank_threshold": self.rerank_threshold, "embed_model": self.embed_model,
-            "bm25_k1": self.bm25_k1, "bm25_b": self.bm25_b,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RetrievalSettings":
@@ -354,23 +345,24 @@ def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
         return _full_report(report)
 
     query = schema.retrieval_keywords
-    query_terms = tokenize(query)
     vectors = embedder.embed([c.text for c in chunks])
     index = VectorIndex(chunks, vectors)
     query_vector = embedder.embed([query])[0]
 
-    params = Bm25Params(cfg.bm25_k1, cfg.bm25_b)
-    stats = Bm25Stats(chunks)
     n = min(cfg.candidates, len(chunks))
     if cfg.mode == "dense":
         retrieved = dense_search(index, query_vector, n)
-    elif cfg.mode == "hybrid":
-        lexical = bm25_rank(query_terms, chunks, stats, params)[:n]
-        dense = dense_search(index, query_vector, n)
-        retrieved = hybrid_search(lexical, dense, n)
-    else:  # sequential
-        m = max(min(cfg.shortlist, len(chunks)), n)
-        retrieved = sequential_search(index, stats, query_terms, query_vector, m, n, params)
+    else:  # hybrid and sequential also rank lexically
+        query_terms = tokenize(query)
+        params = Bm25Params(cfg.bm25_k1, cfg.bm25_b)
+        stats = Bm25Stats(chunks)
+        if cfg.mode == "hybrid":
+            lexical = bm25_rank(query_terms, chunks, stats, params)[:n]
+            dense = dense_search(index, query_vector, n)
+            retrieved = hybrid_search(lexical, dense, n)
+        else:  # sequential
+            m = max(min(cfg.shortlist, len(chunks)), n)
+            retrieved = sequential_search(index, stats, query_terms, query_vector, m, n, params)
     if not retrieved:
         return _full_report(report)
 

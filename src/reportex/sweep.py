@@ -12,6 +12,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -448,22 +449,21 @@ class AggregateResult:
     comparisons: list[AxisComparison]
     correlations: dict[str, dict | str]
 
+    # (CSV column, PipelineConfig attribute path) for the leading config cells
     CONFIG_COLUMNS = (
-        "config_hash", "model_name", "param_count_b", "quant_bits", "prompt_style",
-        "few_shot", "json_instruction", "json_mode", "temperature", "top_k", "top_p",
-        "retrieval_mode", "seed",
+        ("config_hash", "config_hash"), ("model_name", "model_name"),
+        ("param_count_b", "param_count_b"), ("quant_bits", "quant_bits"),
+        ("prompt_style", "prompt.style.value"), ("few_shot", "prompt.few_shot.value"),
+        ("json_instruction", "prompt.json_instruction"), ("json_mode", "json_mode"),
+        ("temperature", "temperature"), ("top_k", "top_k"), ("top_p", "top_p"),
+        ("retrieval_mode", "retrieval.mode"), ("seed", "seed"),
     )
 
     def csv_lines(self) -> list[str]:
-        header = ",".join(self.CONFIG_COLUMNS + TABLE_COLUMNS)
+        header = ",".join([column for column, _ in self.CONFIG_COLUMNS] + list(TABLE_COLUMNS))
         lines = [header]
         for config, report in self.rows:
-            cells = [
-                config.config_hash, config.model_name, config.param_count_b,
-                config.quant_bits, config.prompt.style.value, config.prompt.few_shot.value,
-                config.prompt.json_instruction, config.json_mode, config.temperature,
-                config.top_k, config.top_p, config.retrieval.mode, config.seed,
-            ]
+            cells = [attrgetter(path)(config) for _, path in self.CONFIG_COLUMNS]
             cells += [f"{v:.6f}" for v in report.csv_row()]
             lines.append(",".join(str(c) for c in cells))
         return lines

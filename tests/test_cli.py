@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from reportex import corpus as corpus_mod
 from reportex.cli import main
 from reportex.corpus import (
     RADIOLOGY_SCHEMA,
@@ -77,6 +79,36 @@ class TestGenerateCorpus:
         assert main(["generate-corpus", "--spec", str(spec), "--out", str(a)]) == 0
         assert main(["generate-corpus", "--spec", str(spec), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unset_fields_take_task_defaults(self, tmp_path):
+        spec = self._spec_file(tmp_path)
+        out, expected = tmp_path / "cli.jsonl", tmp_path / "api.jsonl"
+        assert main(["generate-corpus", "--spec", str(spec), "--out", str(out)]) == 0
+        save_corpus(expected, *generate_synthetic_corpus(
+            default_corpus_spec(Task.RADIOLOGY, 25, seed=3)))
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_set_fields_override_exactly_those(self, tmp_path, monkeypatch):
+        seen = []
+        real = corpus_mod.generate_synthetic_corpus
+        monkeypatch.setattr(corpus_mod, "generate_synthetic_corpus",
+                            lambda spec: seen.append(spec) or real(spec))
+        spec = self._spec_file(tmp_path, length_mean_words=80.0, distractor_rate=0.9,
+                               comment="keys that are not spec fields are ignored")
+        assert main(["generate-corpus", "--spec", str(spec), "--out",
+                     str(tmp_path / "x.jsonl")]) == 0
+        expected = replace(default_corpus_spec(Task.RADIOLOGY, 25, seed=3),
+                           length_mean_words=80.0, distractor_rate=0.9)
+        assert seen == [expected]
+
+    def test_seed_flag_beats_spec_seed(self, tmp_path):
+        spec = self._spec_file(tmp_path)
+        out, expected = tmp_path / "cli.jsonl", tmp_path / "api.jsonl"
+        assert main(["generate-corpus", "--spec", str(spec), "--out", str(out),
+                     "--seed", "9"]) == 0
+        save_corpus(expected, *generate_synthetic_corpus(
+            default_corpus_spec(Task.RADIOLOGY, 25, seed=9)))
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestExtract:

@@ -54,15 +54,10 @@ class TestNormalizeText:
 
 
 class TestReport:
-    def test_word_count_enforced(self):
-        with pytest.raises(CorpusError):
-            from reportex.corpus import Report
-            Report(id="x", task=Task.RADIOLOGY, text="two words", word_count=5)
-
     def test_newline_rejected(self):
         with pytest.raises(CorpusError):
             from reportex.corpus import Report
-            Report(id="x", task=Task.RADIOLOGY, text="a\nb", word_count=2)
+            Report(id="x", task=Task.RADIOLOGY, text="a\nb")
 
     def test_make_report_normalizes(self):
         r = make_report("r1", Task.RADIOLOGY, "line one.\nline two")
@@ -85,12 +80,6 @@ class TestSchema:
         from reportex.corpus import LabelSchema
         with pytest.raises(CorpusError):
             LabelSchema(Task.RADIOLOGY, ("A", "a"), "A", "score", "kw")
-
-    def test_shipped_schema_files_match_builtins(self, radiology_schema, pathology_schema):
-        from importlib import resources
-        data = resources.files("reportex.data")
-        assert load_schema(data / "radiology_schema.json") == radiology_schema
-        assert load_schema(data / "pathology_schema.json") == pathology_schema
 
 
 class TestCorpusSpec:

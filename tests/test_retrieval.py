@@ -52,7 +52,7 @@ class TestSplitRecursive:
         chunks = split_recursive(text)
         assert len(chunks) == 1
         assert chunks[0].text == text
-        assert chunks[0].char_span == (0, 50)
+        assert (chunks[0].start, chunks[0].end) == (0, 50)
 
     def test_empty(self):
         assert split_recursive("") == []
@@ -63,7 +63,7 @@ class TestSplitRecursive:
         assert len(text) == 200
         assert text[60] == "." and text[130] == "."
         chunks = split_recursive(text, chunk_size=70, overlap=20)
-        assert [c.char_span for c in chunks] == [(0, 62), (62, 132), (132, 200)]
+        assert [(c.start, c.end) for c in chunks] == [(0, 62), (62, 132), (132, 200)]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from importlib import resources
 
 import pytest
 
@@ -156,7 +157,6 @@ class TestEnumerateConfigs:
         assert len(enumerate_configs(grid)) == 2
 
     def test_default_grid_file_parses(self):
-        from importlib import resources
         path = resources.files("reportex.data").joinpath("default_grid.json")
         grid = SweepGrid.from_file(path)
         configs = enumerate_configs(grid)
@@ -175,6 +175,19 @@ class TestConfigHash:
         config = _config(prompt=PromptStrategy(PromptStyle.SIMPLE, FewShot.POSITIVE, False),
                          retrieval=RetrievalSettings(mode="hybrid"))
         assert PipelineConfig.from_dict(config.to_dict()) == config
+
+    # Stores key records by these hashes: a change orphans every existing store.
+    def test_default_grid_first_hash_pinned(self):
+        path = resources.files("reportex.data").joinpath("default_grid.json")
+        assert enumerate_configs(SweepGrid.from_file(path))[0].config_hash == "c817370213f32cdd"
+
+    def test_dense_retrieval_hash_pinned(self):
+        config = _config(retrieval=RetrievalSettings(mode="dense"))
+        assert config.config_hash == "185e90fd7b4a87d0"
+
+    def test_few_shot_hash_pinned(self):
+        config = _config(prompt=PromptStrategy(PromptStyle.SIMPLE, FewShot.POSITIVE, False))
+        assert config.config_hash == "57377ded915146af"
 
 
 class TestResultStore:
