@@ -45,6 +45,8 @@ def _fail(code: int, message: str) -> int:
 def cmd_generate_corpus(args) -> int:
     try:
         spec_obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if not isinstance(spec_obj, dict):
+            raise ValueError("the spec must be a JSON object")
         # Fields the file sets override the task's defaults; other keys are ignored.
         given = {f.name: spec_obj[f.name] for f in fields(CorpusSpec) if f.name in spec_obj}
         given["task"] = Task(spec_obj["task"])

@@ -142,6 +142,8 @@ class CorpusSpec:
             raise CorpusError("length parameters must be positive")
         if not 0.0 <= self.distractor_rate <= 1.0:
             raise CorpusError("distractor_rate must be in [0, 1]")
+        if not isinstance(self.class_distribution, dict):
+            raise CorpusError("class_distribution must map labels to probabilities")
         if any(p < 0 for p in self.class_distribution.values()):
             raise CorpusError("class probabilities must be nonnegative")
         total = sum(self.class_distribution.values())

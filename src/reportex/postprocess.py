@@ -87,15 +87,17 @@ def _first_object(cleaned: str) -> tuple[dict, int, int] | None:
     """The first JSON object in cleaned with its [start, end) span, or None.
 
     A "{" where the decoder fails (bad syntax, an over-long integer, nesting
-    past the recursion limit) starts no object.
+    past the recursion limit) starts no object, and neither does one after the
+    last "}", so the scan stops there.
     """
-    start = cleaned.find("{")
+    last = cleaned.rfind("}")
+    start = cleaned.find("{", 0, max(last, 0))
     while start != -1:
         try:
             obj, end = _DECODER.raw_decode(cleaned, start)
             return obj, start, end
         except (ValueError, RecursionError):
-            start = cleaned.find("{", start + 1)
+            start = cleaned.find("{", start + 1, last)
     return None
 
 

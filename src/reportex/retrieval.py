@@ -6,8 +6,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import threading
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import Protocol
+from typing import Callable, Hashable, Protocol, TypeVar
 
 import numpy as np
 
@@ -195,8 +197,15 @@ def sequential_search(index: VectorIndex, stats: Bm25Stats, query_terms: list[st
     """
     if shortlist_m < n:
         raise ValueError("shortlist_m must be >= n")
-    position = {chunk.index: pos for pos, chunk in enumerate(index.chunks)}
     shortlist = dense_search(index, query_vector, shortlist_m)
+    return _bm25_rescore(shortlist, index.chunks, stats, query_terms, n, params)
+
+
+def _bm25_rescore(shortlist: list[tuple[Chunk, float]], chunks, stats: Bm25Stats,
+                  query_terms: list[str], n: int, params: Bm25Params) -> list[tuple[Chunk, float]]:
+    """The n best of a dense shortlist by BM25, ties broken by dense rank;
+    `stats` is built over `chunks`."""
+    position = {chunk.index: pos for pos, chunk in enumerate(chunks)}
     rescored = []
     for dense_pos, (chunk, _) in enumerate(shortlist):
         score = bm25_score(query_terms, position[chunk.index], stats, params)
@@ -332,37 +341,90 @@ def _full_report(report: Report, candidates=()) -> RetrievedContext:
     return RetrievedContext(report.text, False, None, tuple(candidates))
 
 
-def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
-                   embedder: Embedder, reranker: RerankScorer) -> RetrievedContext:
-    """Pick the context handed to the model: the best reranked chunk, or the full
-    report when retrieval is off or the best rerank score falls below threshold."""
-    if cfg.mode == "off":
-        return _full_report(report)
+T = TypeVar("T")
+
+
+class SingleFlightMemo:
+    """Thread-safe memo in which concurrent requests for one key share one
+    computation: the first caller computes, later callers wait for its result.
+
+    A computation that raises is evicted, so the next request for its key
+    computes it again; callers already waiting get the same exception.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._results: dict[Hashable, Future] = {}
+
+    def get(self, key: Hashable, compute: Callable[[], T]) -> T:
+        with self._lock:
+            future = self._results.get(key)
+            owner = future is None
+            if owner:
+                future = self._results[key] = Future()
+        if not owner:
+            return future.result()
+        try:
+            value = compute()
+        except BaseException as e:
+            with self._lock:
+                del self._results[key]
+            future.set_exception(e)
+            raise
+        future.set_result(value)
+        return value
+
+
+def _dense_ranking(report: Report, cfg: RetrievalSettings, query: str, embedder: Embedder,
+                   memo: SingleFlightMemo) -> tuple[list[Chunk], list[tuple[Chunk, float]]]:
+    """The report's retrievable chunks and all of them ranked by dense_search."""
     chunks = split_recursive(report.text, cfg.chunk_size, cfg.overlap, report.id)
     # token-less chunks cannot match anything and would embed to zero vectors
     chunks = [c for c in chunks if tokenize(c.text)]
     if not chunks:
+        return chunks, []
+    index = VectorIndex(chunks, embedder.embed([c.text for c in chunks]))
+    query_vector = memo.get(("query", query, cfg.embed_model),
+                            lambda: embedder.embed([query])[0])
+    return chunks, dense_search(index, query_vector, len(chunks))
+
+
+def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
+                   embedder: Embedder, reranker: RerankScorer,
+                   memo: SingleFlightMemo | None = None) -> RetrievedContext:
+    """Pick the context handed to the model: the best reranked chunk, or the full
+    report when retrieval is off or the best rerank score falls below threshold.
+
+    Calls that share `memo` embed each report's chunks once per (chunk_size,
+    overlap, embed_model) and the query once per embed_model, whatever their
+    mode. The memo knows reports by id, so it serves one set of reports and
+    one embedder, as in one sweep.
+    """
+    if cfg.mode == "off":
+        return _full_report(report)
+    if memo is None:
+        memo = SingleFlightMemo()
+    query = schema.retrieval_keywords
+    chunks, ranking = memo.get(
+        ("ranking", report.id, cfg.chunk_size, cfg.overlap, cfg.embed_model, query),
+        lambda: _dense_ranking(report, cfg, query, embedder, memo))
+    if not chunks:
         return _full_report(report)
 
-    query = schema.retrieval_keywords
-    vectors = embedder.embed([c.text for c in chunks])
-    index = VectorIndex(chunks, vectors)
-    query_vector = embedder.embed([query])[0]
-
+    # A prefix of the full ranking is what dense_search returns for that n.
     n = min(cfg.candidates, len(chunks))
     if cfg.mode == "dense":
-        retrieved = dense_search(index, query_vector, n)
+        retrieved = ranking[:n]
     else:  # hybrid and sequential also rank lexically
         query_terms = tokenize(query)
         params = Bm25Params(cfg.bm25_k1, cfg.bm25_b)
         stats = Bm25Stats(chunks)
         if cfg.mode == "hybrid":
             lexical = bm25_rank(query_terms, chunks, stats, params)[:n]
-            dense = dense_search(index, query_vector, n)
-            retrieved = hybrid_search(lexical, dense, n)
+            retrieved = hybrid_search(lexical, ranking[:n], n)
         else:  # sequential
             m = max(min(cfg.shortlist, len(chunks)), n)
-            retrieved = sequential_search(index, stats, query_terms, query_vector, m, n, params)
+            retrieved = _bm25_rescore(ranking[:m], chunks, stats, query_terms, n, params)
     if not retrieved:
         return _full_report(report)
 

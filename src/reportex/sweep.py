@@ -35,6 +35,7 @@ from .retrieval import (
     RemoteEmbedder,
     RerankScorer,
     RetrievalSettings,
+    SingleFlightMemo,
     TokenOverlapReranker,
     select_context,
 )
@@ -250,17 +251,20 @@ class PipelineBackends:
 
 def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
                 backends: PipelineBackends, capture_errors: bool = True,
-                no_timestamps: bool = False,
-                context_cache: dict | None = None) -> ExtractionRecord:
-    """Run one report through select-context -> prompt -> generate -> parse."""
+                no_timestamps: bool = False, memo: SingleFlightMemo | None = None,
+                config_hash: str | None = None) -> ExtractionRecord:
+    """Run one report through select-context -> prompt -> generate -> parse.
+
+    `memo`, shared by the pairs of one sweep, holds each report's retrieval
+    context and embeddings; `config_hash`, when given, is config.config_hash.
+    """
+    if config_hash is None:
+        config_hash = config.config_hash
+    if memo is None:
+        memo = SingleFlightMemo()
     try:
-        cache_key = (report.id, config.retrieval)
-        context = context_cache.get(cache_key) if context_cache is not None else None
-        if context is None:
-            context = select_context(report, schema, config.retrieval,
-                                     backends.embedder, backends.reranker)
-            if context_cache is not None:
-                context_cache[cache_key] = context
+        context = memo.get(("context", report.id, config.retrieval), lambda: select_context(
+            report, schema, config.retrieval, backends.embedder, backends.reranker, memo))
         exemplars = default_exemplars(schema) if config.prompt.few_shot is not FewShot.NONE else ()
         prompt = build_prompt(context, schema, config.prompt, exemplars)
         request = GenerationRequest(
@@ -276,7 +280,7 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
         parsed = parse_label(response.raw_text, schema)
         return ExtractionRecord(
             report_id=report.id,
-            config_hash=config.config_hash,
+            config_hash=config_hash,
             raw_output=response.raw_text,
             parsed=parsed,
             rag_used=context.rag_used,
@@ -289,7 +293,7 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
             raise
         return ExtractionRecord(
             report_id=report.id,
-            config_hash=config.config_hash,
+            config_hash=config_hash,
             raw_output="",
             parsed=ParsedLabel.invalid(InvalidReason.EMPTY),
             rag_used=False,
@@ -382,18 +386,20 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
             raise SweepError("a single sweep cannot mix embed_model values without injected backends")
         backends = PipelineBackends.remote(endpoint, embed_model=embed_models.pop())
     pending = [
-        (report, config)
+        (report, config, config_hash)
         for config, config_hash in ((c, c.config_hash) for c in configs)
         for report in reports
         if (report.id, config_hash) not in store
     ]
-    context_cache: dict = {}
+    # One memo per call: every run pays for its own embeddings, and concurrent
+    # pairs of one report wait for a single embedding of it.
+    memo = SingleFlightMemo()
     done = 0
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         futures = [
             pool.submit(extract_one, report, schema, config, backends,
-                        True, no_timestamps, context_cache)
-            for report, config in pending
+                        True, no_timestamps, memo, config_hash)
+            for report, config, config_hash in pending
         ]
         # Consume in submission order: the store stays deterministic under a
         # deterministic backend, and a crash only loses work that resume recomputes.

@@ -73,6 +73,19 @@ class TestGenerateCorpus:
         assert main(["generate-corpus", "--spec", str(spec), "--out",
                      str(tmp_path / "x.jsonl")]) == 2
 
+    def test_spec_not_an_object_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[]")
+        assert main(["generate-corpus", "--spec", str(spec), "--out",
+                     str(tmp_path / "x.jsonl")]) == 2
+        assert "invalid corpus spec" in capsys.readouterr().err
+
+    def test_distribution_not_an_object_exit_2(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, class_distribution=[1])
+        assert main(["generate-corpus", "--spec", str(spec), "--out",
+                     str(tmp_path / "x.jsonl")]) == 2
+        assert "invalid corpus spec" in capsys.readouterr().err
+
     def test_seed_repetition_identical_files(self, tmp_path):
         spec = self._spec_file(tmp_path)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

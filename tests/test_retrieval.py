@@ -1,10 +1,12 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from reportex.corpus import make_report, Task
+from reportex.corpus import Task, default_corpus_spec, generate_synthetic_corpus, make_report
 from reportex.retrieval import (
     Bm25Params,
     Bm25Stats,
@@ -12,6 +14,7 @@ from reportex.retrieval import (
     MockHashEmbedder,
     RerankError,
     RetrievalSettings,
+    SingleFlightMemo,
     TokenOverlapReranker,
     VectorIndex,
     bm25_rank,
@@ -474,6 +477,60 @@ class TestSelectContext:
                                  MockHashEmbedder(), TokenOverlapReranker())
             flags.append(ctx.rag_used)
         assert flags == sorted(flags, reverse=True)  # True ... then False ...
+
+    def test_candidates_match_the_search_functions(self, pathology_schema):
+        # select_context slices one full dense ranking, shared across modes
+        # through the memo; the search functions over a VectorIndex are the reference.
+        reports, _ = generate_synthetic_corpus(default_corpus_spec(Task.PATHOLOGY, 4, seed=3))
+        embedder, reranker, memo = MockHashEmbedder(), TokenOverlapReranker(), SingleFlightMemo()
+        query = pathology_schema.retrieval_keywords
+        terms, query_vector = tokenize(query), embedder.embed([query])[0]
+        for report in reports:
+            chunks = [c for c in split_recursive(report.text, report_id=report.id)
+                      if tokenize(c.text)]
+            index = VectorIndex(chunks, embedder.embed([c.text for c in chunks]))
+            stats = Bm25Stats(chunks)
+            expected = {
+                "dense": dense_search(index, query_vector, 3),
+                "hybrid": hybrid_search(bm25_rank(terms, chunks, stats)[:3],
+                                        dense_search(index, query_vector, 3), 3),
+                "sequential": sequential_search(index, stats, terms, query_vector, 6, 3),
+            }
+            for mode, retrieved in expected.items():
+                cfg = RetrievalSettings(mode=mode, candidates=3, shortlist=6)
+                for shared in (memo, None):
+                    ctx = select_context(report, pathology_schema, cfg, embedder, reranker, shared)
+                    assert sorted((c.index, s) for c, s, _ in ctx.candidates) == \
+                        sorted((c.index, s) for c, s in retrieved), (report.id, mode)
+
+
+class TestSingleFlightMemo:
+    def test_stress_each_key_computed_once(self):
+        memo = SingleFlightMemo()
+        computed: list[int] = []
+        results: dict[int, list] = {}
+
+        def compute(key):
+            computed.append(key)
+            return object()
+
+        def worker():
+            for key in range(200):
+                results.setdefault(key, []).append(memo.get(key, lambda: compute(key)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(computed) == list(range(200))
+        assert all(len(got) == 8 and all(r is got[0] for r in got) for got in results.values())
 
 
 class TestMockEmbedder:

@@ -1,10 +1,12 @@
 import json
 import math
+import threading
 import time
 from importlib import resources
 
 import pytest
 
+from reportex import sweep as sweep_mod
 from reportex.corpus import (
     RADIOLOGY_SCHEMA,
     Task,
@@ -13,10 +15,16 @@ from reportex.corpus import (
 )
 from reportex.lm_client import GenerationResponse, TransportError
 from reportex.metrics import compute_metrics, confusion
-from reportex.mock_server import MockMode, MockModel
+from reportex.mock_server import MockLmServer, MockMode, MockModel
 from reportex.postprocess import InvalidReason, ParsedLabel
 from reportex.prompting import FewShot, PromptStrategy, PromptStyle
-from reportex.retrieval import MockHashEmbedder, RetrievalSettings, TokenOverlapReranker
+from reportex.retrieval import (
+    MockHashEmbedder,
+    RetrievalSettings,
+    TokenOverlapReranker,
+    split_recursive,
+    tokenize,
+)
 from reportex.sweep import (
     ExtractionRecord,
     MissingRecordsError,
@@ -338,8 +346,6 @@ class TestRunSweep:
         assert abs(accuracy - 0.8) <= 0.05
 
     def test_rag_over_the_wire_uses_remote_embeddings(self, tmp_path, radiology_corpus):
-        from reportex.mock_server import MockLmServer
-
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
         model = MockModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
@@ -520,3 +526,119 @@ class TestSweepStops:
                       progress=progress)
         assert len(calls) < pending / 4
         assert len(ResultStore.open(tmp_path / "stop.jsonl")) == 5
+
+
+_RAG_MODES = ("dense", "hybrid", "sequential")
+
+
+class _CountingEmbedder:
+    """MockHashEmbedder that records the texts of every embed call; `before`
+    runs first on each call and may block or raise."""
+
+    def __init__(self, before=lambda texts: None):
+        self.inner = MockHashEmbedder()
+        self.before = before
+        self.calls: list[list[str]] = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        self.before(texts)
+        return self.inner.embed(texts)
+
+
+def _chunk_texts(report, cfg=RetrievalSettings()):
+    chunks = split_recursive(report.text, cfg.chunk_size, cfg.overlap, report.id)
+    return [c.text for c in chunks if tokenize(c.text)]
+
+
+def _mode_configs(modes=_RAG_MODES):
+    return [_config(retrieval=RetrievalSettings(mode=mode)) for mode in modes]
+
+
+class TestSweepMemo:
+    """One sweep embeds each report's chunks and the query once, shared by every mode."""
+
+    def test_each_report_and_the_query_embedded_once(self, tmp_path, radiology_corpus,
+                                                     oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        embedder = _CountingEmbedder()
+        backends = PipelineBackends(oracle_backends.generate, embedder, oracle_backends.reranker)
+        store = run_sweep(reports[:2], _mode_configs(), None, tmp_path / "s.jsonl",
+                          RADIOLOGY_SCHEMA, parallelism=2, backends=backends,
+                          no_timestamps=True)
+        expected = [_chunk_texts(r) for r in reports[:2]] + [[RADIOLOGY_SCHEMA.retrieval_keywords]]
+        assert sorted(embedder.calls) == sorted(expected)
+        assert len(store) == 6
+        assert all(r.parsed.label == gold[r.report_id] for r in store.records)
+
+    def test_concurrent_pairs_embed_a_report_once(self, tmp_path, radiology_corpus,
+                                                  oracle_backends, monkeypatch):
+        reports, _ = radiology_corpus
+        both_asked = threading.Event()
+        entered = []
+        real_select_context = sweep_mod.select_context
+
+        def counting_select_context(*args, **kwargs):
+            entered.append(args[2].mode)
+            if len(entered) == 2:
+                both_asked.set()
+            return real_select_context(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "select_context", counting_select_context)
+        # The first embedding waits until the second worker is inside
+        # select_context too, so an unshared computation would embed twice.
+        embedder = _CountingEmbedder(before=lambda texts: both_asked.wait(timeout=10))
+        backends = PipelineBackends(oracle_backends.generate, embedder, oracle_backends.reranker)
+        store = run_sweep(reports[:1], _mode_configs(("dense", "hybrid")), None,
+                          tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                          backends=backends, no_timestamps=True)
+        assert both_asked.is_set()
+        assert sorted(entered) == ["dense", "hybrid"]
+        assert embedder.calls.count(_chunk_texts(reports[0])) == 1
+        assert len(embedder.calls) == 2
+        assert all(r.error is None for r in store.records)
+
+    def test_failed_embedding_is_retried_by_a_later_pair(self, tmp_path, radiology_corpus,
+                                                         oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+
+        def fail_first(texts):
+            if len(embedder.calls) == 1:
+                raise TransportError("connection reset")
+
+        embedder = _CountingEmbedder(before=fail_first)
+        backends = PipelineBackends(oracle_backends.generate, embedder, oracle_backends.reranker)
+        store = run_sweep(reports[:1], _mode_configs(("dense", "hybrid")), None,
+                          tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=1,
+                          backends=backends, no_timestamps=True)
+        failed, retried = store.records
+        assert "connection reset" in failed.error
+        assert retried.error is None
+        assert retried.parsed.label == gold[reports[0].id]
+        chunks = _chunk_texts(reports[0])
+        assert embedder.calls == [chunks, chunks, [RADIOLOGY_SCHEMA.retrieval_keywords]]
+
+    def test_wire_sweep_sends_one_embedding_per_chunk_and_one_for_the_query(
+            self, tmp_path, radiology_corpus):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+
+        sent = []
+
+        class CountingModel(MockModel):
+            def embeddings(self, payload):
+                sent.append(payload["prompt"])
+                return super().embeddings(payload)
+
+        model = CountingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        with MockLmServer(model) as server:
+            store = run_sweep(reports[:2], _mode_configs(), server.endpoint,
+                              tmp_path / "wire.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                              no_timestamps=True)
+        expected = _chunk_texts(reports[0]) + _chunk_texts(reports[1])
+        assert len(sent) == len(expected) + 1
+        assert sorted(sent) == sorted(expected + [RADIOLOGY_SCHEMA.retrieval_keywords])
+        assert len(store) == 6
+        assert all(r.parsed.label == gold[r.report_id] for r in store.records)
