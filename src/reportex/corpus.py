@@ -8,6 +8,7 @@ loaded at import.
 from __future__ import annotations
 
 import json
+import numbers
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -125,6 +126,11 @@ PATHOLOGY_DISTRIBUTION = {"positive": 0.0715, "negative": 0.7238, "NR": 0.2047}
 _DISTRIBUTION_SUM_TOL = 5e-3
 
 
+def _is_number(value, kind: type) -> bool:
+    """True for a value of the numbers ABC `kind` that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     task: Task
@@ -136,6 +142,12 @@ class CorpusSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_reports", "seed"):
+            if not _is_number(getattr(self, name), numbers.Integral):
+                raise CorpusError(f"{name} must be an integer")
+        for name in ("length_mean_words", "length_sd_words", "distractor_rate"):
+            if not _is_number(getattr(self, name), numbers.Real):
+                raise CorpusError(f"{name} must be a number")
         if self.n_reports < 1:
             raise CorpusError("n_reports must be >= 1")
         if self.length_mean_words <= 0 or self.length_sd_words <= 0:
@@ -144,6 +156,8 @@ class CorpusSpec:
             raise CorpusError("distractor_rate must be in [0, 1]")
         if not isinstance(self.class_distribution, dict):
             raise CorpusError("class_distribution must map labels to probabilities")
+        if not all(_is_number(p, numbers.Real) for p in self.class_distribution.values()):
+            raise CorpusError("class probabilities must be numbers")
         if any(p < 0 for p in self.class_distribution.values()):
             raise CorpusError("class probabilities must be nonnegative")
         total = sum(self.class_distribution.values())

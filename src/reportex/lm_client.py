@@ -10,6 +10,13 @@ Transport settings are the module constants DEFAULT_TIMEOUT (seconds per
 attempt), DEFAULT_RETRIES (extra attempts after a timeout or connection
 failure) and DEFAULT_RETRY_BASE (first backoff in seconds, doubled per retry);
 each request reads them when it is made.
+
+embed() sends one /api/embeddings request per text, concurrently, through one
+process-wide pool of EMBED_CONCURRENCY threads, made on first use. The bound
+holds across all callers: two sweep workers embedding at once share the same
+EMBED_CONCURRENCY requests in flight. A bound per call would multiply with the
+callers and overflow a small server listen queue, where each dropped
+connection waits out a 1 s SYN retransmit.
 """
 
 from __future__ import annotations
@@ -17,9 +24,11 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +38,11 @@ DEFAULT_RETRIES = 3
 DEFAULT_RETRY_BASE = 0.5  # seconds; doubles per retry
 
 ENDPOINT_ENV_VAR = "EXTRACTOR_LM_ENDPOINT"
+
+EMBED_CONCURRENCY = 8  # embedding requests in flight, per process
+
+_embed_pool: ThreadPoolExecutor | None = None
+_embed_pool_lock = threading.Lock()
 
 
 class LmClientError(Exception):
@@ -138,23 +152,45 @@ def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
     )
 
 
+def _shared_embed_pool() -> ThreadPoolExecutor:
+    global _embed_pool
+    with _embed_pool_lock:
+        if _embed_pool is None:
+            _embed_pool = ThreadPoolExecutor(max_workers=EMBED_CONCURRENCY,
+                                             thread_name_prefix="reportex-embed")
+        return _embed_pool
+
+
+def _embedding_row(data: dict) -> np.ndarray:
+    if "embedding" not in data:
+        raise ProtocolError(200, "missing 'embedding' field")
+    try:
+        row = np.asarray(data["embedding"], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ProtocolError(200, f"non-numeric embedding: {e}") from e
+    if row.ndim != 1 or row.size == 0:
+        raise ProtocolError(200, f"embedding must be a flat number array, got shape {row.shape}")
+    return row
+
+
 def embed(endpoint: str, model: str, texts: list[str]) -> np.ndarray:
-    """Embed each text through the server; rows come back L2-normalized."""
+    """Embed each text through the server; rows come back L2-normalized, in input order.
+
+    The requests run concurrently in the process-wide embedding pool. The
+    first failure in input order is raised, and requests still queued are
+    cancelled. Not to be called from inside that pool.
+    """
     if not texts:
         raise ValueError("texts must be nonempty")
     url = resolve_endpoint(endpoint) + "/api/embeddings"
-    rows = []
-    for text in texts:
-        data = _post_with_retries(url, {"model": model, "prompt": text})
-        if "embedding" not in data:
-            raise ProtocolError(200, "missing 'embedding' field")
-        try:
-            row = np.asarray(data["embedding"], dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise ProtocolError(200, f"non-numeric embedding: {e}") from e
-        if row.ndim != 1 or row.size == 0:
-            raise ProtocolError(200, f"embedding must be a flat number array, got shape {row.shape}")
-        rows.append(row)
+    pool = _shared_embed_pool()
+    futures = [pool.submit(_post_with_retries, url, {"model": model, "prompt": text})
+               for text in texts]
+    try:
+        rows = [_embedding_row(future.result()) for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
     dims = {r.shape for r in rows}
     if len(dims) != 1:
         raise ProtocolError(200, f"inconsistent embedding dimensions: {sorted(dims)}")

@@ -13,6 +13,7 @@ from typing import Callable, Hashable, Protocol, TypeVar
 
 import numpy as np
 
+from . import lm_client
 from .corpus import LabelSchema, Report
 
 RRF_K = 60  # reciprocal-rank fusion constant
@@ -142,16 +143,21 @@ def bm25_rank(query_terms: list[str], chunks: list[Chunk], stats: Bm25Stats,
     return scored
 
 
+class VectorIndexError(ValueError):
+    """Embeddings unfit for a VectorIndex: the wrong shape, rows that are not
+    unit-normalized, or a query of another dimension."""
+
+
 class VectorIndex:
     """Flat exact-search index over unit-normalized chunk embeddings."""
 
     def __init__(self, chunks: list[Chunk], vectors: np.ndarray):
         matrix = np.asarray(vectors, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
-            raise ValueError("vectors must be a (n_chunks, dimension) matrix")
+            raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix")
         norms = np.linalg.norm(matrix, axis=1)
         if matrix.size and np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError("stored vectors must be unit-normalized (L2 norm 1 +- 1e-6)")
+            raise VectorIndexError("stored vectors must be unit-normalized (L2 norm 1 +- 1e-6)")
         self.chunks = tuple(chunks)
         self.matrix = matrix
         self.dimension = matrix.shape[1] if matrix.size else 0
@@ -161,7 +167,7 @@ def dense_search(index: VectorIndex, query_vector, n: int) -> list[tuple[Chunk, 
     """Exhaustive cosine-similarity top-n, descending, ties by chunk index."""
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (index.dimension,):
-        raise ValueError(f"query dimension {q.shape} does not match index ({index.dimension},)")
+        raise VectorIndexError(f"query dimension {q.shape} does not match index ({index.dimension},)")
     norm = np.linalg.norm(q)
     if norm > 0:
         q = q / norm
@@ -292,8 +298,6 @@ class RemoteEmbedder:
         self.model = model
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        from . import lm_client
-
         return lm_client.embed(self.endpoint, self.model, texts)
 
 

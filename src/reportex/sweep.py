@@ -33,10 +33,12 @@ from .prompting import PromptStrategy, build_prompt, default_exemplars, FewShot
 from .retrieval import (
     Embedder,
     RemoteEmbedder,
+    RerankError,
     RerankScorer,
     RetrievalSettings,
     SingleFlightMemo,
     TokenOverlapReranker,
+    VectorIndexError,
     select_context,
 )
 
@@ -257,6 +259,8 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
 
     `memo`, shared by the pairs of one sweep, holds each report's retrieval
     context and embeddings; `config_hash`, when given, is config.config_hash.
+    With `capture_errors`, a backend failure, a reranker failure or embeddings
+    unfit for the index become an error record named by exception class.
     """
     if config_hash is None:
         config_hash = config.config_hash
@@ -288,7 +292,7 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
             latency_ms=0.0 if no_timestamps else response.latency_ms,
             timestamp=0.0 if no_timestamps else time.time(),
         )
-    except LmClientError as e:
+    except (LmClientError, RerankError, VectorIndexError) as e:
         if not capture_errors:
             raise
         return ExtractionRecord(
@@ -300,7 +304,7 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
             rerank_score=None,
             latency_ms=0.0,
             timestamp=0.0 if no_timestamps else time.time(),
-            error=str(e),
+            error=f"{type(e).__name__}: {e}",
         )
 
 

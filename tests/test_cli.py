@@ -86,6 +86,18 @@ class TestGenerateCorpus:
                      str(tmp_path / "x.jsonl")]) == 2
         assert "invalid corpus spec" in capsys.readouterr().err
 
+    def test_string_report_count_exit_2(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, n_reports="5")
+        assert main(["generate-corpus", "--spec", str(spec), "--out",
+                     str(tmp_path / "x.jsonl")]) == 2
+        assert "invalid corpus spec" in capsys.readouterr().err
+
+    def test_string_probability_exit_2(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, class_distribution={"2": "x"})
+        assert main(["generate-corpus", "--spec", str(spec), "--out",
+                     str(tmp_path / "x.jsonl")]) == 2
+        assert "invalid corpus spec" in capsys.readouterr().err
+
     def test_seed_repetition_identical_files(self, tmp_path):
         spec = self._spec_file(tmp_path)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

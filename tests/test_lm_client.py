@@ -4,6 +4,8 @@ import socket
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -12,8 +14,9 @@ import pytest
 
 import reportex
 from reportex import lm_client
-from reportex.corpus import Task, default_corpus_spec, generate_synthetic_corpus
+from reportex.corpus import RADIOLOGY_SCHEMA, Task, default_corpus_spec, generate_synthetic_corpus
 from reportex.lm_client import (
+    EMBED_CONCURRENCY,
     GenerationRequest,
     ProtocolError,
     RequestTimeout,
@@ -29,6 +32,7 @@ from reportex.mock_server import (
     load_garbage_fixtures,
     load_malformed_templates,
 )
+from reportex.retrieval import MockHashEmbedder
 from reportex.sweep import record_seed
 
 
@@ -184,6 +188,119 @@ class TestEmbedWire:
         server, _, _ = oracle_server
         with pytest.raises(ValueError):
             embed(server.endpoint, "gte-large", [])
+
+
+class _InFlightModel(MockModel):
+    """Mock whose embeddings take `delay` seconds; records each prompt and the
+    peak number of embedding requests in flight. `fail_prompt` gets a reply
+    with no embedding field."""
+
+    def __init__(self, seed=0, delay=0.02, fail_prompt=None):
+        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA, seed=seed)
+        self.delay = delay
+        self.fail_prompt = fail_prompt
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.seen = []
+
+    def embeddings(self, payload):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.seen.append(payload["prompt"])
+        try:
+            time.sleep(self.delay)
+            if payload["prompt"] == self.fail_prompt:
+                return {}
+            return super().embeddings(payload)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def _texts(n, tag=""):
+    return [f"{tag} finding {i} idh status report section {i * 7}" for i in range(n)]
+
+
+def _drain_embed_pool():
+    """Return once every embedding request submitted so far has run or been
+    cancelled: the pool is FIFO, and these tasks run only when all its threads
+    are free at once."""
+    barrier = threading.Barrier(EMBED_CONCURRENCY)
+    pool = lm_client._shared_embed_pool()
+    for future in [pool.submit(barrier.wait, 10) for _ in range(EMBED_CONCURRENCY)]:
+        future.result(timeout=20)
+
+
+class TestEmbedConcurrency:
+    def test_in_flight_bounded_across_callers(self):
+        model = _InFlightModel()
+        a, b = _texts(40, "a"), _texts(40, "b")
+        with MockLmServer(model) as server, ThreadPoolExecutor(2) as callers:
+            start = threading.Barrier(2)
+
+            def call(texts):
+                start.wait(timeout=10)
+                return embed(server.endpoint, "gte-large", texts)
+
+            rows_a, rows_b = callers.map(call, [a, b])
+        # two callers that each sent one request at a time would peak at 2
+        assert 2 < model.peak <= EMBED_CONCURRENCY
+        assert sorted(model.seen) == sorted(a + b)
+        expected = MockHashEmbedder(64, 0)
+        np.testing.assert_allclose(rows_a, expected.embed(a), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows_b, expected.embed(b), rtol=0, atol=1e-12)
+
+    def test_rows_in_input_order(self):
+        texts = _texts(30)
+        with MockLmServer(_InFlightModel(seed=5, delay=0.0)) as server:
+            rows = embed(server.endpoint, "gte-large", texts)
+        np.testing.assert_allclose(rows, MockHashEmbedder(64, 5).embed(texts), rtol=0, atol=1e-12)
+
+    def test_first_failure_cancels_queued_requests(self):
+        texts = _texts(100)
+        model = _InFlightModel(fail_prompt=texts[0])
+        with MockLmServer(model) as server:
+            with pytest.raises(ProtocolError, match="missing 'embedding'"):
+                embed(server.endpoint, "gte-large", texts)
+            _drain_embed_pool()
+        assert texts[0] in model.seen
+        assert len(model.seen) < 50
+
+    def test_concurrent_first_use_makes_one_pool(self, monkeypatch):
+        monkeypatch.setattr(lm_client, "_embed_pool", None)
+        start = threading.Barrier(16)
+        pools = []
+
+        def first_use():
+            start.wait(timeout=10)
+            pools.append(lm_client._shared_embed_pool())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(pools) == 16 and len({id(p) for p in pools}) == 1
+        pools[0].shutdown()
+
+    def test_import_starts_no_threads(self):
+        src = str(Path(reportex.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c",
+                        "import threading; before = threading.active_count(); "
+                        "import reportex; from reportex import lm_client as c; "
+                        "assert threading.active_count() == before; "
+                        "assert c._embed_pool is None"],
+                       check=True, env=env)
 
 
 class TestMockModes:

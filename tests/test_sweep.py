@@ -22,6 +22,7 @@ from reportex.retrieval import (
     MockHashEmbedder,
     RetrievalSettings,
     TokenOverlapReranker,
+    VectorIndexError,
     split_recursive,
     tokenize,
 )
@@ -642,3 +643,60 @@ class TestSweepMemo:
         assert sorted(sent) == sorted(expected + [RADIOLOGY_SCHEMA.retrieval_keywords])
         assert len(store) == 6
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
+
+
+class _FailingReranker:
+    def score(self, query, passage):
+        raise RuntimeError("scorer crashed")
+
+
+class _ScaledEmbedder:
+    """Rows twice as long as unit length: a matrix VectorIndex refuses."""
+
+    def embed(self, texts):
+        return 2.0 * MockHashEmbedder().embed(texts)
+
+
+class _BuggyEmbedder:
+    def embed(self, texts):
+        raise ValueError("a programming error")
+
+
+class TestPairExceptions:
+    def _sweep(self, tmp_path, reports, oracle_backends, embedder=None, reranker=None):
+        backends = PipelineBackends(oracle_backends.generate,
+                                    embedder or oracle_backends.embedder,
+                                    reranker or oracle_backends.reranker)
+        return run_sweep(reports[:2], _mode_configs(("off", "dense")), None,
+                         tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                         backends=backends, no_timestamps=True)
+
+    def _assert_rag_pairs_errored(self, store, gold, name):
+        assert len(store) == 4
+        off_hash = _mode_configs(("off",))[0].config_hash
+        for r in store.records:
+            if r.config_hash == off_hash:
+                assert r.error is None and r.parsed.label == gold[r.report_id]
+            else:
+                assert r.error.startswith(f"{name}: ")
+                assert r.parsed.reason is InvalidReason.EMPTY
+
+    def test_rerank_error_is_stored_by_class(self, tmp_path, radiology_corpus, oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        store = self._sweep(tmp_path, reports, oracle_backends, reranker=_FailingReranker())
+        self._assert_rag_pairs_errored(store, gold, "RerankError")
+
+    def test_bad_embedding_matrix_is_stored_by_class(self, tmp_path, radiology_corpus,
+                                                      oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        store = self._sweep(tmp_path, reports, oracle_backends, embedder=_ScaledEmbedder())
+        self._assert_rag_pairs_errored(store, gold, VectorIndexError.__name__)
+        assert any("unit-normalized" in (r.error or "") for r in store.records)
+
+    def test_other_value_error_aborts_the_sweep(self, tmp_path, radiology_corpus,
+                                                oracle_backends):
+        reports, _ = radiology_corpus
+        with pytest.raises(ValueError, match="a programming error"):
+            self._sweep(tmp_path, reports, oracle_backends, embedder=_BuggyEmbedder())
