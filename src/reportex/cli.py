@@ -71,7 +71,11 @@ def _read_report(path_or_dash: str, schema) -> corpus_mod.Report:
     except json.JSONDecodeError:
         obj = None
     if isinstance(obj, dict) and "text" in obj:
-        return make_report(obj.get("id", "stdin"), Task(obj.get("task", schema.task.value)), obj["text"])
+        try:
+            task = Task(obj.get("task", schema.task.value))
+        except ValueError as e:
+            raise CorpusError(f"{path_or_dash}: {e}") from e
+        return make_report(obj.get("id", "stdin"), task, obj["text"])
     return make_report("stdin", schema.task, text)
 
 
@@ -132,7 +136,7 @@ def cmd_sweep(args) -> int:
         store = run_sweep(reports, configs, endpoint, args.store, schema,
                           parallelism=args.parallelism, no_timestamps=args.no_timestamps,
                           progress=progress)
-    except StoreCorruptError as e:
+    except (StoreCorruptError, SweepError) as e:
         return _fail(EXIT_CONFIG, str(e))
     print(f"store complete: {len(store)} records")
     return EXIT_OK

@@ -353,28 +353,36 @@ class SingleFlightMemo:
     computation: the first caller computes, later callers wait for its result.
 
     A computation that raises is evicted, so the next request for its key
-    computes it again; callers already waiting get the same exception.
+    computes it again; callers already waiting get the same exception. Only
+    computations in flight hold a Future: a finished one keeps just its value,
+    since a sweep may keep one entry per pair.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._results: dict[Hashable, Future] = {}
+        self._values: dict[Hashable, object] = {}
+        self._pending: dict[Hashable, Future] = {}
 
     def get(self, key: Hashable, compute: Callable[[], T]) -> T:
         with self._lock:
-            future = self._results.get(key)
+            if key in self._values:
+                return self._values[key]
+            future = self._pending.get(key)
             owner = future is None
             if owner:
-                future = self._results[key] = Future()
+                future = self._pending[key] = Future()
         if not owner:
             return future.result()
         try:
             value = compute()
         except BaseException as e:
             with self._lock:
-                del self._results[key]
+                del self._pending[key]
             future.set_exception(e)
             raise
+        with self._lock:
+            self._values[key] = value
+            del self._pending[key]
         future.set_result(value)
         return value
 

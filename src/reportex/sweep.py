@@ -258,9 +258,13 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
     """Run one report through select-context -> prompt -> generate -> parse.
 
     `memo`, shared by the pairs of one sweep, holds each report's retrieval
-    context and embeddings; `config_hash`, when given, is config.config_hash.
-    With `capture_errors`, a backend failure, a reranker failure or embeddings
-    unfit for the index become an error record named by exception class.
+    context and embeddings, and the response to each distinct generation
+    request, keyed by a digest of its wire payload (model, prompt, options and
+    per-record seed). A pair whose request another pair already sent gets
+    that response, and its record carries that call's `latency_ms`.
+    `config_hash`, when given, is config.config_hash. With `capture_errors`, a
+    backend failure, a reranker failure or embeddings unfit for the index
+    become an error record named by exception class.
     """
     if config_hash is None:
         config_hash = config.config_hash
@@ -280,7 +284,10 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
             top_p=config.top_p,
             seed=record_seed(config.seed, report.id),
         )
-        response = backends.generate(request)
+        # Key on a digest, not the request, so the memo does not keep every prompt alive.
+        payload = json.dumps(request.to_payload()).encode("utf-8")
+        response = memo.get(("generate", hashlib.blake2b(payload, digest_size=16).digest()),
+                            lambda: backends.generate(request))
         parsed = parse_label(response.raw_text, schema)
         return ExtractionRecord(
             report_id=report.id,
@@ -380,6 +387,14 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     appends to the store, one durable record per completed pair. Backend
     failures become invalid records; any exception that stops the sweep cancels
     the queued pairs. Interrupted sweeps resume by skipping completed pairs.
+
+    Each distinct generation request is sent once per call and its response
+    shared by every pair that sends the same bytes, such as retrieval modes
+    that select the same context. This assumes a server that answers a seeded
+    request the same way each time; configs that differ in `seed` send
+    different requests. A shared record carries the first call's `latency_ms`;
+    under `no_timestamps` stores do not change. A failed request is not kept,
+    so a later pair sends it again.
     """
     if parallelism < 1:
         raise SweepError("parallelism must be >= 1")
@@ -395,8 +410,8 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
         for report in reports
         if (report.id, config_hash) not in store
     ]
-    # One memo per call: every run pays for its own embeddings, and concurrent
-    # pairs of one report wait for a single embedding of it.
+    # One memo per call: every run pays for its own embeddings and generations,
+    # and concurrent pairs wait for a single computation of what they share.
     memo = SingleFlightMemo()
     done = 0
     with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -177,6 +177,14 @@ class TestExtract:
                      "--schema", "/nonexistent/schema.json",
                      "--endpoint", corpus_files["endpoint"]]) == 2
 
+    def test_unknown_task_exit_2(self, corpus_files, tmp_path, capsys):
+        path = tmp_path / "bogus_task.json"
+        path.write_text(json.dumps({"text": "x y", "task": "bogus"}))
+        assert main(["extract", str(path), "--config", corpus_files["config"],
+                     "--schema", corpus_files["schema"],
+                     "--endpoint", corpus_files["endpoint"]]) == 2
+        assert "'bogus' is not a valid Task" in capsys.readouterr().err
+
     def test_backend_unreachable_exit_3(self, corpus_files, monkeypatch):
         monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRY_BASE", 0.001)
         path, _ = self._report_file(corpus_files, "2")
@@ -231,6 +239,26 @@ class TestSweepAndReport:
         before = store.read_text()
         assert main(args) == 0
         assert store.read_text() == before
+
+    def test_zero_parallelism_exit_2(self, corpus_files, tmp_path, capsys):
+        store = tmp_path / "p0.jsonl"
+        assert main(["sweep", "--grid", corpus_files["grid"], "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"], "--parallelism", "0"]) == 2
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_two_embed_models_exit_2(self, corpus_files, tmp_path, capsys):
+        grid = tmp_path / "embed_grid.json"
+        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj["axes"] = {"retrieval.embed_model": ["gte-large", "nomic-embed-text"]}
+        grid.write_text(json.dumps(grid_obj))
+        store = tmp_path / "embed.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"]]) == 2
+        assert "cannot mix embed_model values" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_incomplete_store_exit_4(self, corpus_files, tmp_path, capsys):
         store = tmp_path / "partial.jsonl"

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,6 +532,22 @@ class TestSingleFlightMemo:
         assert not any(t.is_alive() for t in threads)
         assert sorted(computed) == list(range(200))
         assert all(len(got) == 8 and all(r is got[0] for r in got) for got in results.values())
+
+    def test_finished_entries_keep_only_their_values(self):
+        # A sweep keeps one generation entry per distinct request, so a
+        # finished entry must not hold a Future with its lock and condition.
+        memo = SingleFlightMemo()
+        values = [object() for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for key, value in enumerate(values):
+                assert memo.get(key, lambda: value) is value
+            per_entry = (tracemalloc.get_traced_memory()[0] - before) / len(values)
+        finally:
+            tracemalloc.stop()
+        assert per_entry < 400
+        assert memo.get(7, lambda: None) is values[7]
 
 
 class TestMockEmbedder:

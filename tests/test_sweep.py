@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import threading
@@ -8,6 +9,7 @@ import pytest
 
 from reportex import sweep as sweep_mod
 from reportex.corpus import (
+    PATHOLOGY_SCHEMA,
     RADIOLOGY_SCHEMA,
     Task,
     default_corpus_spec,
@@ -643,6 +645,136 @@ class TestSweepMemo:
         assert sorted(sent) == sorted(expected + [RADIOLOGY_SCHEMA.retrieval_keywords])
         assert len(store) == 6
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
+
+
+class _CountingGenerate:
+    """Wraps a generate callable and records the seed of every request it sends;
+    `before` runs first on each call and may raise."""
+
+    def __init__(self, inner, before=lambda req: None):
+        self.inner = inner
+        self.before = before
+        self.seeds: list[int] = []
+
+    def __call__(self, req):
+        self.seeds.append(req.seed)
+        self.before(req)
+        return self.inner(req)
+
+
+class TestSharedGeneration:
+    """One sweep sends each distinct generation request once, shared by every
+    pair that sends the same bytes."""
+
+    def test_modes_that_select_the_same_context_share_one_call(self, tmp_path,
+                                                               radiology_corpus,
+                                                               oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        generate = _CountingGenerate(oracle_backends.generate)
+        backends = PipelineBackends(generate, oracle_backends.embedder, oracle_backends.reranker)
+        configs = _mode_configs()
+        store = run_sweep(reports[:2], configs, None, tmp_path / "s.jsonl", RADIOLOGY_SCHEMA,
+                          parallelism=3, backends=backends, no_timestamps=True)
+        assert sorted(generate.seeds) == sorted(record_seed(0, r.id) for r in reports[:2])
+        assert len(store) == 6
+        by_pair = {(r.report_id, r.config_hash): r for r in store.records}
+        for report in reports[:2]:
+            for config in configs:
+                record = by_pair[(report.id, config.config_hash)]
+                context = sweep_mod.select_context(report, RADIOLOGY_SCHEMA, config.retrieval,
+                                                   oracle_backends.embedder,
+                                                   oracle_backends.reranker)
+                assert record.rag_used == context.rag_used
+                assert record.rerank_score == context.rerank_score
+                assert record.error is None and record.parsed.label == gold[report.id]
+
+    def test_configs_differing_only_in_seed_each_send(self, tmp_path, radiology_corpus,
+                                                      oracle_backends):
+        reports, _ = radiology_corpus
+        generate = _CountingGenerate(oracle_backends.generate)
+        backends = PipelineBackends(generate, oracle_backends.embedder, oracle_backends.reranker)
+        store = run_sweep(reports[:2], [_config(seed=0), _config(seed=1)], None,
+                          tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                          backends=backends, no_timestamps=True)
+        expected = [record_seed(seed, r.id) for seed in (0, 1) for r in reports[:2]]
+        assert sorted(generate.seeds) == sorted(expected)
+        assert len(set(expected)) == 4
+        assert len(store) == 4
+
+    def test_failed_generation_is_retried_by_a_later_pair(self, tmp_path, radiology_corpus,
+                                                          oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+
+        def fail_first(req):
+            if len(generate.seeds) == 1:
+                raise TransportError("connection reset")
+
+        generate = _CountingGenerate(oracle_backends.generate, before=fail_first)
+        backends = PipelineBackends(generate, oracle_backends.embedder, oracle_backends.reranker)
+        # quant_bits is not part of the request: both configs send the same bytes.
+        store = run_sweep(reports[:1], [_config(quant_bits=4), _config(quant_bits=8)], None,
+                          tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=1,
+                          backends=backends, no_timestamps=True)
+        failed, retried = store.records
+        assert failed.error == "TransportError: connection reset"
+        assert retried.error is None
+        assert retried.parsed.label == gold[reports[0].id]
+        assert generate.seeds == [record_seed(0, reports[0].id)] * 2
+
+    def test_wire_sweep_sends_one_generate_per_distinct_request(self, tmp_path,
+                                                                radiology_corpus):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        sent = []
+
+        class CountingModel(MockModel):
+            def complete(self, payload):
+                sent.append(payload["options"]["seed"])
+                return super().complete(payload)
+
+        model = CountingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        with MockLmServer(model) as server:
+            store = run_sweep(reports[:2], _mode_configs(), server.endpoint,
+                              tmp_path / "wire.jsonl", RADIOLOGY_SCHEMA, parallelism=3,
+                              no_timestamps=True)
+        assert sorted(sent) == sorted(record_seed(0, r.id) for r in reports[:2])
+        assert len(store) == 6
+        assert all(r.parsed.label == gold[r.report_id] for r in store.records)
+
+
+def _default_grid():
+    return SweepGrid.from_file(resources.files("reportex.data").joinpath("default_grid.json"))
+
+
+class TestStoreBytesPinned:
+    """sha256 of `--no-timestamps` stores from small in-process sweeps. A change
+    to the runner that moves any stored byte fails here; pin a new digest only
+    for a change that means to alter what a store holds."""
+
+    def _store_sha256(self, tmp_path, task, schema, n, corpus_seed, configs, **model_kw):
+        reports, annotations = generate_synthetic_corpus(default_corpus_spec(task, n, corpus_seed))
+        gold = {a.report_id: a.label for a in annotations}
+        backends = model_backends(MockModel(gold=gold, schema=schema, reports=reports, **model_kw))
+        path = tmp_path / "s.jsonl"
+        run_sweep(reports, configs, None, path, schema, parallelism=4, backends=backends,
+                  no_timestamps=True)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_pathology_retrieval_modes_oracle(self, tmp_path):
+        grid = SweepGrid(_default_grid().base,
+                         {"retrieval.mode": ["off", "dense", "hybrid", "sequential"]})
+        digest = self._store_sha256(tmp_path, Task.PATHOLOGY, PATHOLOGY_SCHEMA, 30, 5,
+                                    enumerate_configs(grid), mode=MockMode.ORACLE)
+        assert digest == "a241868dfc6ed14f43c87617de8f28fd68e986089c797f9c2f4f56d256062b82"
+
+    def test_radiology_default_grid_noisy_oracle(self, tmp_path):
+        configs = enumerate_configs(_default_grid())[::6]
+        digest = self._store_sha256(tmp_path, Task.RADIOLOGY, RADIOLOGY_SCHEMA, 40, 17,
+                                    configs, mode=MockMode.NOISY_ORACLE, seed=3,
+                                    noise_rate=0.3)
+        assert digest == "f761ac7013c96c6ee9f739a34d8143f1393e47f7fb3deaff36c76ad4f5d648f0"
 
 
 class _FailingReranker:
