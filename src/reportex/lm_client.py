@@ -11,12 +11,23 @@ attempt), DEFAULT_RETRIES (extra attempts after a timeout or connection
 failure) and DEFAULT_RETRY_BASE (first backoff in seconds, doubled per retry);
 each request reads them when it is made.
 
+Requests go over persistent HTTP/1.1 connections through http.client: each
+thread keeps one open connection, to the server it last posted to, and
+closes it when it posts to another. A kept connection the server has closed
+in the meantime fails before any response arrives; the request is then sent
+once more on a fresh connection, and that reopening is not a retry. Proxies
+follow the environment as urllib reads it (http_proxy, https_proxy,
+no_proxy): an http request goes to the proxy with the absolute URL as its
+target, an https request through a CONNECT tunnel. Credentials in a proxy
+URL are not sent.
+
 embed() sends one /api/embeddings request per text, concurrently, through one
 process-wide pool of EMBED_CONCURRENCY threads, made on first use. The bound
 holds across all callers: two sweep workers embedding at once share the same
-EMBED_CONCURRENCY requests in flight. A bound per call would multiply with the
-callers and overflow a small server listen queue, where each dropped
-connection waits out a 1 s SYN retransmit.
+EMBED_CONCURRENCY requests in flight, over at most EMBED_CONCURRENCY
+connections. A bound per call would multiply with the callers and overflow a
+small server listen queue, where each dropped connection waits out a 1 s SYN
+retransmit.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import json
 import os
 import threading
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +54,8 @@ EMBED_CONCURRENCY = 8  # embedding requests in flight, per process
 
 _embed_pool: ThreadPoolExecutor | None = None
 _embed_pool_lock = threading.Lock()
+
+_thread = threading.local()  # .kept: this thread's _KeptConnection, if any
 
 
 class LmClientError(Exception):
@@ -108,25 +121,89 @@ def resolve_endpoint(configured: str | None) -> str:
     return endpoint.rstrip("/")
 
 
+class _KeptConnection:
+    """A thread's open connection and the route it was opened for. It is
+    closed when the thread replaces it or ends."""
+
+    def __init__(self, route: tuple, conn: http.client.HTTPConnection):
+        self.route = route
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
+
+
+def _connection(url: str) -> tuple[http.client.HTTPConnection, str]:
+    """This thread's connection to the server of `url` (or to its proxy), and
+    the request target to send on it."""
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint must be an http:// or https:// URL: {url!r}")
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and urllib.request.proxy_bypass(parts.netloc):
+        proxy = None
+    route = (parts.scheme, parts.hostname, parts.port, proxy)
+    kept = getattr(_thread, "kept", None)
+    if kept is None or kept.route != route:
+        if kept is not None:
+            kept.conn.close()
+        cls = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        if proxy is None:
+            conn = cls(parts.hostname, parts.port)
+        else:
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+            conn = cls(via.hostname, via.port)
+            if parts.scheme == "https":
+                conn.set_tunnel(parts.hostname, parts.port)
+        kept = _thread.kept = _KeptConnection(route, conn)
+    if proxy is not None and parts.scheme == "http":
+        target = url  # absolute form, for the proxy to forward
+    kept.conn.timeout = DEFAULT_TIMEOUT
+    if kept.conn.sock is not None:
+        kept.conn.sock.settimeout(DEFAULT_TIMEOUT)
+    return kept.conn, target
+
+
+def _post(url: str, body: bytes) -> tuple[int, str]:
+    """One POST over this thread's connection: (status, body text). A kept
+    connection that fails before any response arrives was closed by the
+    server while idle, and the request is sent again on a fresh one."""
+    conn, target = _connection(url)
+    headers = {"Content-Type": "application/json"}
+    reused = conn.sock is not None
+    try:
+        try:
+            conn.request("POST", target, body, headers)
+            response = conn.getresponse()
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+            if not reused:
+                raise
+            conn.close()
+            conn.request("POST", target, body, headers)
+            response = conn.getresponse()
+        # http.client closes the connection itself when the response says it will close
+        return response.status, response.read().decode("utf-8", "replace")
+    except BaseException:
+        conn.close()
+        raise
+
+
 def _post_with_retries(url: str, payload: dict) -> dict:
     body = json.dumps(payload).encode("utf-8")
     last_error: LmClientError | None = None
     for attempt in range(DEFAULT_RETRIES + 1):
-        request = urllib.request.Request(url, data=body,
-                                         headers={"Content-Type": "application/json"})
         try:
-            with urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT) as resp:
-                status, text = resp.status, resp.read().decode("utf-8", "replace")
-        except urllib.error.HTTPError as e:  # before URLError: it is a subclass
-            raise ProtocolError(e.code, e.read().decode("utf-8", "replace")) from e
+            status, text = _post(url, body)
+        except TimeoutError as e:
+            last_error = RequestTimeout(f"{url}: timed out after {DEFAULT_TIMEOUT}s")
+            last_error.__cause__ = e
         except (OSError, http.client.HTTPException) as e:
-            reason = e.reason if isinstance(e, urllib.error.URLError) else e
-            if isinstance(reason, TimeoutError):
-                last_error = RequestTimeout(f"{url}: timed out after {DEFAULT_TIMEOUT}s")
-            else:
-                last_error = TransportError(f"{url}: {reason}")
+            last_error = TransportError(f"{url}: {e}")
             last_error.__cause__ = e
         else:
+            if not 200 <= status < 300:
+                raise ProtocolError(status, text)
             try:
                 return json.loads(text)
             except ValueError as e:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import socket
 import threading
 from collections import Counter
 from enum import Enum
@@ -194,6 +195,10 @@ class MockModel:
 
 class _Handler(BaseHTTPRequestHandler):
     model: MockModel  # set on the server class
+    protocol_version = "HTTP/1.1"  # connections stay open between requests
+    # The headers and the body are two writes; with Nagle on, the body waits
+    # for the client's delayed ACK of the headers, about 40 ms per request.
+    disable_nagle_algorithm = True
 
     def do_POST(self):  # noqa: N802 (http.server API)
         try:
@@ -224,12 +229,44 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    """Keeps the connections it serves, so that stop() can close them: a
+    handler thread waits on its open connection for the next request, with no
+    idle timeout, and server_close() neither closes nor waits for it."""
+
+    request_queue_size = 128  # the default of 5 drops bursts of first connects
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)  # wakes a handler blocked reading it
+            except OSError:
+                pass  # the client closed it first
+
+
 class MockLmServer:
-    """Threaded HTTP wrapper around MockModel; endpoint is http://127.0.0.1:<port>."""
+    """Threaded HTTP/1.1 wrapper around MockModel; endpoint is http://127.0.0.1:<port>."""
 
     def __init__(self, model: MockModel, host: str = "127.0.0.1", port: int = 0):
         self.model = model
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _Server((host, port), _Handler)
         self._httpd.model = model  # type: ignore[attr-defined]
         # shutdown() waits up to one poll interval; the 0.5 s default slows stop().
         self._thread = threading.Thread(target=self._httpd.serve_forever,
@@ -245,7 +282,9 @@ class MockLmServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        if self._thread.is_alive():  # else shutdown() waits forever on a loop never run
+            self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
 
     def __enter__(self) -> "MockLmServer":

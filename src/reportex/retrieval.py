@@ -387,18 +387,18 @@ class SingleFlightMemo:
         return value
 
 
-def _dense_ranking(report: Report, cfg: RetrievalSettings, query: str, embedder: Embedder,
-                   memo: SingleFlightMemo) -> tuple[list[Chunk], list[tuple[Chunk, float]]]:
+def _dense_ranking(report: Report, cfg: RetrievalSettings, query: str,
+                   embedder: Embedder) -> tuple[list[Chunk], list[tuple[Chunk, float]]]:
     """The report's retrievable chunks and all of them ranked by dense_search."""
     chunks = split_recursive(report.text, cfg.chunk_size, cfg.overlap, report.id)
     # token-less chunks cannot match anything and would embed to zero vectors
     chunks = [c for c in chunks if tokenize(c.text)]
     if not chunks:
         return chunks, []
-    index = VectorIndex(chunks, embedder.embed([c.text for c in chunks]))
-    query_vector = memo.get(("query", query, cfg.embed_model),
-                            lambda: embedder.embed([query])[0])
-    return chunks, dense_search(index, query_vector, len(chunks))
+    # One call: the query rides as row 0, so the ranking waits on this report alone.
+    vectors = embedder.embed([query] + [c.text for c in chunks])
+    index = VectorIndex(chunks, vectors[1:])
+    return chunks, dense_search(index, vectors[0], len(chunks))
 
 
 def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
@@ -407,10 +407,11 @@ def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
     """Pick the context handed to the model: the best reranked chunk, or the full
     report when retrieval is off or the best rerank score falls below threshold.
 
-    Calls that share `memo` embed each report's chunks once per (chunk_size,
-    overlap, embed_model) and the query once per embed_model, whatever their
-    mode. The memo knows reports by id, so it serves one set of reports and
-    one embedder, as in one sweep.
+    A report's query and chunks are embedded in one call, the query as row 0,
+    so a report's ranking waits on no other report's embeddings. Calls that
+    share `memo` make that call once per report and (chunk_size, overlap,
+    embed_model), whatever their mode. The memo knows reports by id, so it
+    serves one set of reports and one embedder, as in one sweep.
     """
     if cfg.mode == "off":
         return _full_report(report)
@@ -419,7 +420,7 @@ def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
     query = schema.retrieval_keywords
     chunks, ranking = memo.get(
         ("ranking", report.id, cfg.chunk_size, cfg.overlap, cfg.embed_model, query),
-        lambda: _dense_ranking(report, cfg, query, embedder, memo))
+        lambda: _dense_ranking(report, cfg, query, embedder))
     if not chunks:
         return _full_report(report)
 

@@ -59,6 +59,12 @@ class MissingRecordsError(RuntimeError):
         self.missing = missing
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SweepError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """One point in the configuration space swept by the benchmark."""
@@ -104,9 +110,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
+        d = dict(_json_object(d, "pipeline config"))
         try:
-            d["prompt"] = PromptStrategy.from_dict(d.get("prompt", {}))
+            d["prompt"] = PromptStrategy.from_dict(_json_object(d.get("prompt", {}), "prompt"))
             d["retrieval"] = RetrievalSettings.from_dict(d.get("retrieval", {}))
             return cls(**d)
         except (TypeError, ValueError) as e:
@@ -171,15 +177,15 @@ class SweepGrid:
     @classmethod
     def from_file(cls, path) -> "SweepGrid":
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-            sample = obj.get("sample", {})
+            obj = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "grid")
+            sample = _json_object(obj.get("sample", {}), "sample")
             return cls(
                 base=PipelineConfig.from_dict(obj["base"]),
-                axes=dict(obj.get("axes", {})),
+                axes=dict(_json_object(obj.get("axes", {}), "axes")),
                 sample_n=sample.get("n"),
                 sample_seed=sample.get("seed", 0),
             )
-        except (json.JSONDecodeError, KeyError) as e:
+        except (json.JSONDecodeError, KeyError, SweepError) as e:
             raise SweepError(f"{path}: invalid grid file ({e})") from e
 
 

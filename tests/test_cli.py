@@ -185,6 +185,20 @@ class TestExtract:
                      "--endpoint", corpus_files["endpoint"]]) == 2
         assert "'bogus' is not a valid Task" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_obj, part", [
+        ([1, 2], "pipeline config"),
+        ({"model_name": "m", "prompt": [1]}, "prompt"),
+    ], ids=["top", "prompt"])
+    def test_config_not_an_object_exit_2(self, corpus_files, tmp_path, capsys, config_obj,
+                                         part):
+        path, _ = self._report_file(corpus_files, "2")
+        config = tmp_path / "shape_config.json"
+        config.write_text(json.dumps(config_obj))
+        assert main(["extract", str(path), "--config", str(config),
+                     "--schema", corpus_files["schema"],
+                     "--endpoint", corpus_files["endpoint"]]) == 2
+        assert f"{part} must be a JSON object, not list" in capsys.readouterr().err
+
     def test_backend_unreachable_exit_3(self, corpus_files, monkeypatch):
         monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRY_BASE", 0.001)
         path, _ = self._report_file(corpus_files, "2")
@@ -258,6 +272,23 @@ class TestSweepAndReport:
                      "--schema", corpus_files["schema"], "--store", str(store),
                      "--endpoint", corpus_files["endpoint"]]) == 2
         assert "cannot mix embed_model values" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("grid_obj, part", [
+        ([1], "grid"),
+        ({"base": [1]}, "pipeline config"),
+        ({"base": {"model_name": "m"}, "sample": [1]}, "sample"),
+        ({"base": {"model_name": "m"}, "axes": [["top_k", [2]]]}, "axes"),
+    ], ids=["top", "base", "sample", "axes"])
+    def test_grid_of_wrong_shape_exit_2(self, corpus_files, tmp_path, capsys, command,
+                                        grid_obj, part):
+        grid = tmp_path / "shape_grid.json"
+        grid.write_text(json.dumps(grid_obj))
+        store = tmp_path / "shape.jsonl"
+        assert main([command, "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store)]) == 2
+        assert f"{part} must be a JSON object, not list" in capsys.readouterr().err
         assert not store.exists()
 
     def test_incomplete_store_exit_4(self, corpus_files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import reportex
-from reportex import lm_client
+from reportex import lm_client, mock_server
 from reportex.corpus import RADIOLOGY_SCHEMA, Task, default_corpus_spec, generate_synthetic_corpus
 from reportex.lm_client import (
     EMBED_CONCURRENCY,
@@ -301,6 +302,138 @@ class TestEmbedConcurrency:
                         "assert threading.active_count() == before; "
                         "assert c._embed_pool is None"],
                        check=True, env=env)
+
+
+class _CountingHandler(mock_server._Handler):
+    """The mock's handler, recording the connections the server accepts."""
+
+    accepted: list = []
+
+    def setup(self):
+        self.accepted.append(self.client_address)
+        super().setup()
+
+
+class _CloseAfterReplyHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 server that closes each connection after one reply without
+    sending Connection: close, so the client finds out only on its next request."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = json.dumps({"model": "m", "response": "ok"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+class _ProxyHandler(BaseHTTPRequestHandler):
+    """Forward proxy stand-in: records each request target and answers itself."""
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.targets.append(self.path)
+        body = json.dumps({"model": "m", "response": "via proxy"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def _serving(handler):
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    return httpd
+
+
+class TestConnections:
+    def test_serial_calls_and_an_embed_reuse_connections(self, corpus, monkeypatch):
+        reports, annotations = corpus
+        gold = {a.report_id: a.label for a in annotations}
+        monkeypatch.setattr(_CountingHandler, "accepted", [])
+        server = MockLmServer(MockModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports))
+        server._httpd.RequestHandlerClass = _CountingHandler
+        with server:
+            for report in reports[:20]:
+                resp = generate(server.endpoint, GenerationRequest("m", report.text))
+                assert json.loads(resp.raw_text) == {"score": gold[report.id]}
+            embed(server.endpoint, "gte-large", _texts(30))
+        assert len(_CountingHandler.accepted) <= 1 + EMBED_CONCURRENCY
+
+    def test_connection_closed_while_idle_is_reopened_not_retried(self, monkeypatch):
+        monkeypatch.setattr(lm_client, "DEFAULT_RETRIES", 0)
+        httpd = _serving(_CloseAfterReplyHandler)
+        try:
+            host, port = httpd.server_address[:2]
+            for _ in range(3):
+                resp = generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
+                assert resp.raw_text == "ok"
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
+    def test_stop_closes_open_connections(self, oracle_server, monkeypatch):
+        monkeypatch.setattr(lm_client, "DEFAULT_RETRIES", 0)
+        _, reports, gold = oracle_server
+        server = MockLmServer(MockModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)).start()
+        request = GenerationRequest("m", reports[0].text)
+        generate(server.endpoint, request)  # this thread keeps the connection open
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.5
+        # a handler left waiting on the kept connection would still answer
+        with pytest.raises(TransportError):
+            generate(server.endpoint, request)
+
+    def test_proxy_from_environment(self, oracle_server, monkeypatch):
+        server, reports, gold = oracle_server
+        for var in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(var, raising=False)
+        proxy = _serving(_ProxyHandler)
+        proxy.targets = []
+        try:
+            host, port = proxy.server_address[:2]
+            monkeypatch.setenv("http_proxy", f"http://{host}:{port}")
+            resp = generate(server.endpoint, GenerationRequest("m", reports[0].text))
+            assert resp.raw_text == "via proxy"
+            assert proxy.targets == [server.endpoint + "/api/generate"]  # absolute form
+            monkeypatch.setenv("no_proxy", "127.0.0.1")
+            resp = generate(server.endpoint, GenerationRequest("m", reports[0].text))
+            assert json.loads(resp.raw_text) == {"score": gold[reports[0].id]}
+            assert proxy.targets == [server.endpoint + "/api/generate"]
+        finally:
+            proxy.shutdown()
+            proxy.server_close()
+
+    def test_listen_queue_takes_a_burst_of_connects(self):
+        server = MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA))
+        address = server._httpd.server_address[:2]  # not started: nothing accepts
+        sockets = [socket.socket() for _ in range(32)]
+        try:
+            for s in sockets:
+                s.setblocking(False)
+                s.connect_ex(address)
+            pending = set(sockets)
+            deadline = time.monotonic() + 0.5
+            while pending and time.monotonic() < deadline:
+                _, connected, _ = select.select([], list(pending), [], deadline - time.monotonic())
+                pending.difference_update(connected)
+            assert not pending
+            assert all(s.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0 for s in sockets)
+        finally:
+            for s in sockets:
+                s.close()
+            server.stop()
 
 
 class TestMockModes:

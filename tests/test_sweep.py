@@ -559,10 +559,10 @@ def _mode_configs(modes=_RAG_MODES):
 
 
 class TestSweepMemo:
-    """One sweep embeds each report's chunks and the query once, shared by every mode."""
+    """One sweep embeds each report's query and chunks in one call, shared by every mode."""
 
-    def test_each_report_and_the_query_embedded_once(self, tmp_path, radiology_corpus,
-                                                     oracle_backends):
+    def test_each_report_embedded_once_with_the_query(self, tmp_path, radiology_corpus,
+                                                      oracle_backends):
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
         embedder = _CountingEmbedder()
@@ -570,7 +570,8 @@ class TestSweepMemo:
         store = run_sweep(reports[:2], _mode_configs(), None, tmp_path / "s.jsonl",
                           RADIOLOGY_SCHEMA, parallelism=2, backends=backends,
                           no_timestamps=True)
-        expected = [_chunk_texts(r) for r in reports[:2]] + [[RADIOLOGY_SCHEMA.retrieval_keywords]]
+        query = RADIOLOGY_SCHEMA.retrieval_keywords
+        expected = [[query] + _chunk_texts(r) for r in reports[:2]]
         assert sorted(embedder.calls) == sorted(expected)
         assert len(store) == 6
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
@@ -598,8 +599,7 @@ class TestSweepMemo:
                           backends=backends, no_timestamps=True)
         assert both_asked.is_set()
         assert sorted(entered) == ["dense", "hybrid"]
-        assert embedder.calls.count(_chunk_texts(reports[0])) == 1
-        assert len(embedder.calls) == 2
+        assert embedder.calls == [[RADIOLOGY_SCHEMA.retrieval_keywords] + _chunk_texts(reports[0])]
         assert all(r.error is None for r in store.records)
 
     def test_failed_embedding_is_retried_by_a_later_pair(self, tmp_path, radiology_corpus,
@@ -620,10 +620,10 @@ class TestSweepMemo:
         assert "connection reset" in failed.error
         assert retried.error is None
         assert retried.parsed.label == gold[reports[0].id]
-        chunks = _chunk_texts(reports[0])
-        assert embedder.calls == [chunks, chunks, [RADIOLOGY_SCHEMA.retrieval_keywords]]
+        texts = [RADIOLOGY_SCHEMA.retrieval_keywords] + _chunk_texts(reports[0])
+        assert embedder.calls == [texts, texts]
 
-    def test_wire_sweep_sends_one_embedding_per_chunk_and_one_for_the_query(
+    def test_wire_sweep_sends_one_embedding_per_chunk_and_one_query_per_report(
             self, tmp_path, radiology_corpus):
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
@@ -640,10 +640,46 @@ class TestSweepMemo:
             store = run_sweep(reports[:2], _mode_configs(), server.endpoint,
                               tmp_path / "wire.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
                               no_timestamps=True)
-        expected = _chunk_texts(reports[0]) + _chunk_texts(reports[1])
-        assert len(sent) == len(expected) + 1
-        assert sorted(sent) == sorted(expected + [RADIOLOGY_SCHEMA.retrieval_keywords])
+        query = RADIOLOGY_SCHEMA.retrieval_keywords
+        expected = [query] + _chunk_texts(reports[0]) + [query] + _chunk_texts(reports[1])
+        assert len(sent) == len(expected)
+        assert sorted(sent) == sorted(expected)
         assert len(store) == 6
+        assert all(r.parsed.label == gold[r.report_id] for r in store.records)
+
+    def test_wire_first_generate_waits_on_its_own_report_only(self, tmp_path,
+                                                              radiology_corpus):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        query = RADIOLOGY_SCHEMA.retrieval_keywords
+        arrivals = []
+        lock = threading.Lock()
+
+        class OrderModel(MockModel):
+            def embeddings(self, payload):
+                with lock:
+                    arrivals.append(("embed", payload["prompt"]))
+                time.sleep(0.005)
+                return super().embeddings(payload)
+
+            def complete(self, payload):
+                with lock:
+                    arrivals.append(("generate", payload["prompt"]))
+                return super().complete(payload)
+
+        model = OrderModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        with MockLmServer(model) as server:
+            store = run_sweep(reports[:2], _mode_configs(("dense",)), server.endpoint,
+                              tmp_path / "wire.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                              no_timestamps=True)
+        # ~50 chunks per report: the report whose embeddings finish first sends
+        # its generate while the other report's chunks are still arriving.
+        first_generate = [kind for kind, _ in arrivals].index("generate")
+        chunk_embeds = [i for i, (kind, prompt) in enumerate(arrivals)
+                        if kind == "embed" and prompt != query]
+        assert first_generate < chunk_embeds[-1]
+        assert [prompt for _, prompt in arrivals].count(query) == 2
+        assert len(store) == 2
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
 
 
