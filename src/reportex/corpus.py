@@ -99,9 +99,14 @@ def save_schema(path, schema: LabelSchema) -> None:
 def load_schema(path) -> LabelSchema:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise CorpusError(f"expected a JSON object, not {type(obj).__name__}")
+        labels = obj["valid_labels"]
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise CorpusError("valid_labels must be a list of strings")
         return LabelSchema(
             task=Task(obj["task"]),
-            valid_labels=tuple(obj["valid_labels"]),
+            valid_labels=tuple(labels),
             nr_label=obj["nr_label"],
             answer_key=obj["answer_key"],
             retrieval_keywords=obj["retrieval_keywords"],
@@ -226,11 +231,35 @@ def distractor_sentence(task: Task) -> str:
     return "Immunohistochemistry for IDH was requested during review."
 
 
-def _filler_sentence(rng: random.Random, vocab: tuple[str, ...]) -> str:
-    words = [rng.choice(vocab) for _ in range(rng.randint(4, 7))]
-    while len(" ".join(words)) + 1 > _MAX_SENTENCE_CHARS and len(words) > 2:
-        words.pop()
-    return words[0].capitalize() + " " + " ".join(words[1:]) + "."
+def _filler_sentences(getrandbits, vocab: tuple[str, ...], target_words: int) -> list[str]:
+    """Filler sentences of 4 to 7 vocab words, until they hold target_words words.
+
+    Each length and word is drawn from `getrandbits` by the rule of CPython's
+    Random._randbelow, which rng.randint(4, 7) and rng.choice(vocab) apply:
+    take k = n.bit_length() bits and draw again while the value is >= n. So
+    the Mersenne Twister output is consumed exactly as those calls consume it.
+    """
+    n_vocab = len(vocab)
+    k = n_vocab.bit_length()
+    sentences: list[str] = []
+    count = 0
+    while count < target_words:
+        extra = getrandbits(3)  # randint(4, 7) is 4 + _randbelow(4)
+        while extra >= 4:
+            extra = getrandbits(3)
+        words = []
+        for _ in range(4 + extra):
+            i = getrandbits(k)
+            while i >= n_vocab:
+                i = getrandbits(k)
+            words.append(vocab[i])
+        body = " ".join(words)
+        while len(body) + 1 > _MAX_SENTENCE_CHARS and len(words) > 2:
+            words.pop()
+            body = " ".join(words)
+        sentences.append(words[0].capitalize() + body[len(words[0]):] + ".")
+        count += len(words)
+    return sentences
 
 
 def generate_synthetic_corpus(spec: CorpusSpec) -> tuple[list[Report], list[GoldAnnotation]]:
@@ -239,6 +268,15 @@ def generate_synthetic_corpus(spec: CorpusSpec) -> tuple[list[Report], list[Gold
     Each report is a single paragraph of filler sentences. Non-NR reports embed
     the task's answer sentence at a random position; with probability
     distractor_rate a non-answer mention of the target concept is inserted.
+
+    One random.Random(spec.seed) drives every draw. Per report: the label
+    (rng.choices), the length target (rng.gauss, floored at 30 words), the
+    filler sentences, then the answer and distractor positions (rng.randrange)
+    and the distractor coin (rng.random). Filler lengths and words are drawn
+    straight from rng.getrandbits under Random._randbelow's rejection rule
+    (see _filler_sentences), which consumes the generator exactly as
+    rng.randint(4, 7) and rng.choice(vocab) do. Corpora are therefore
+    byte-identical to those of earlier versions for every spec and seed.
     """
     schema = BUILTIN_SCHEMAS[spec.task]
     unknown = set(spec.class_distribution) - set(schema.valid_labels)
@@ -257,12 +295,7 @@ def generate_synthetic_corpus(spec: CorpusSpec) -> tuple[list[Report], list[Gold
     for i in range(spec.n_reports):
         label = rng.choices(labels, weights)[0]
         target_words = max(30, round(rng.gauss(spec.length_mean_words, spec.length_sd_words)))
-        sentences: list[str] = []
-        count = 0
-        while count < target_words:
-            s = _filler_sentence(rng, vocab)
-            sentences.append(s)
-            count += len(s.split())
+        sentences = _filler_sentences(rng.getrandbits, vocab, target_words)
         if label != schema.nr_label:
             sentences.insert(rng.randrange(len(sentences) + 1), answer_sentence(spec.task, label))
         if rng.random() < spec.distractor_rate:
@@ -302,6 +335,13 @@ def load_corpus(path) -> tuple[list[Report], list[GoldAnnotation]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from e
+            if not isinstance(obj, dict):
+                raise CorpusError(
+                    f"{path}: line {lineno}: expected a JSON object, not {type(obj).__name__}")
+            for key in ("id", "text", "label"):
+                if key in obj and not isinstance(obj[key], str):
+                    raise CorpusError(f"{path}: line {lineno}: {key} must be a string, "
+                                      f"not {type(obj[key]).__name__}")
             try:
                 report = Report(id=obj["id"], task=Task(obj["task"]), text=obj["text"])
             except (KeyError, ValueError) as e:

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import random
 import time
@@ -16,7 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
-from .corpus import LabelSchema, Report
+from .corpus import LabelSchema, Report, _is_number
 from .lm_client import GenerationRequest, GenerationResponse, LmClientError, generate
 from .metrics import (
     MetricsError,
@@ -179,11 +180,17 @@ class SweepGrid:
         try:
             obj = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "grid")
             sample = _json_object(obj.get("sample", {}), "sample")
+            sample_n = sample.get("n")
+            sample_seed = sample.get("seed", 0)
+            if "n" in sample and not (_is_number(sample_n, numbers.Integral) and sample_n >= 1):
+                raise SweepError(f"sample.n must be an integer >= 1, not {sample_n!r}")
+            if not _is_number(sample_seed, numbers.Integral):
+                raise SweepError(f"sample.seed must be an integer, not {sample_seed!r}")
             return cls(
                 base=PipelineConfig.from_dict(obj["base"]),
                 axes=dict(_json_object(obj.get("axes", {}), "axes")),
-                sample_n=sample.get("n"),
-                sample_seed=sample.get("seed", 0),
+                sample_n=sample_n,
+                sample_seed=sample_seed,
             )
         except (json.JSONDecodeError, KeyError, SweepError) as e:
             raise SweepError(f"{path}: invalid grid file ({e})") from e

@@ -51,6 +51,11 @@ def corpus_files(tmp_path_factory):
     server.stop()
 
 
+def _endpoint_args(command, corpus_files):
+    """`sweep` talks to the live server; `report` takes no endpoint."""
+    return ["--endpoint", corpus_files["endpoint"]] if command == "sweep" else []
+
+
 class TestGenerateCorpus:
     def _spec_file(self, tmp_path, **overrides):
         spec = {"task": "radiology", "n_reports": 25, "seed": 3}
@@ -291,6 +296,24 @@ class TestSweepAndReport:
         assert f"{part} must be a JSON object, not list" in capsys.readouterr().err
         assert not store.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("sample, message", [
+        ({"n": "3"}, "sample.n must be an integer >= 1, not '3'"),
+        ({"n": -1}, "sample.n must be an integer >= 1, not -1"),
+        ({"n": True}, "sample.n must be an integer >= 1, not True"),
+        ({"n": 2, "seed": "x"}, "sample.seed must be an integer, not 'x'"),
+        ({"n": 2, "seed": False}, "sample.seed must be an integer, not False"),
+    ], ids=["n-string", "n-negative", "n-bool", "seed-string", "seed-bool"])
+    def test_bad_sample_exit_2(self, corpus_files, tmp_path, capsys, command, sample, message):
+        grid = tmp_path / "sample_grid.json"
+        grid.write_text(json.dumps({"base": {"model_name": "m"}, "sample": sample}))
+        store = tmp_path / "sample.jsonl"
+        assert main([command, "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     *_endpoint_args(command, corpus_files)]) == 2
+        assert message in capsys.readouterr().err
+        assert not store.exists()
+
     def test_incomplete_store_exit_4(self, corpus_files, tmp_path, capsys):
         store = tmp_path / "partial.jsonl"
         # run only half the grid by sweeping with a single-config grid
@@ -328,3 +351,45 @@ class TestSweepAndReport:
         rows = csv_path.read_text().splitlines()[1:]
         accuracies = [float(r.split(",")[-7]) for r in rows]
         assert accuracies == sorted(accuracies, reverse=True)
+
+
+class TestMalformedInputFiles:
+    """Corpus and schema files that parse as JSON but have the wrong shape."""
+
+    def _run(self, corpus_files, tmp_path, command, corpus=None, schema=None):
+        return main([command, "--grid", corpus_files["grid"],
+                     "--corpus", corpus or corpus_files["corpus"],
+                     "--schema", schema or corpus_files["schema"],
+                     "--store", str(tmp_path / "malformed.jsonl"),
+                     *_endpoint_args(command, corpus_files)])
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("bad_line, message", [
+        ([1], "line 2: expected a JSON object, not list"),
+        ({"id": "r", "task": "radiology", "text": 5}, "line 2: text must be a string, not int"),
+        ({"id": 7, "task": "radiology", "text": "x"}, "line 2: id must be a string, not int"),
+        ({"id": "r", "task": "radiology", "text": "x", "label": 2},
+         "line 2: label must be a string, not int"),
+    ], ids=["list", "text", "id", "label"])
+    def test_corpus_line_of_wrong_shape_exit_2(self, corpus_files, tmp_path, capsys, command,
+                                               bad_line, message):
+        first = open(corpus_files["corpus"]).readline()
+        corpus = tmp_path / "bad_corpus.jsonl"
+        corpus.write_text(first + json.dumps(bad_line) + "\n")
+        assert self._run(corpus_files, tmp_path, command, corpus=str(corpus)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("schema_obj, message", [
+        ([1], "expected a JSON object, not list"),
+        ({"task": "radiology", "valid_labels": "abc", "nr_label": "c", "answer_key": "k",
+          "retrieval_keywords": "w"}, "valid_labels must be a list of strings"),
+        ({"task": "radiology", "valid_labels": ["a", 1], "nr_label": "a", "answer_key": "k",
+          "retrieval_keywords": "w"}, "valid_labels must be a list of strings"),
+    ], ids=["list", "labels-string", "labels-int"])
+    def test_schema_of_wrong_shape_exit_2(self, corpus_files, tmp_path, capsys, command,
+                                          schema_obj, message):
+        schema = tmp_path / "bad_schema.json"
+        schema.write_text(json.dumps(schema_obj))
+        assert self._run(corpus_files, tmp_path, command, schema=str(schema)) == 2
+        assert message in capsys.readouterr().err

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reportex import corpus as corpus_mod
 from reportex.corpus import (
     CorpusError,
     CorpusSpec,
@@ -146,6 +149,50 @@ class TestSyntheticCorpus:
         for label, p in dist.items():
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts.get(label, 0) / n - p) <= 3 * se + 1e-12, label
+
+    @pytest.mark.parametrize("vocab", [corpus_mod._RADIOLOGY_VOCAB, corpus_mod._PATHOLOGY_VOCAB],
+                             ids=["radiology", "pathology"])
+    def test_filler_draws_match_randint_and_choice(self, vocab):
+        def reference(rng, target_words):
+            sentences, count = [], 0
+            while count < target_words:
+                words = [rng.choice(vocab) for _ in range(rng.randint(4, 7))]
+                while len(" ".join(words)) + 1 > corpus_mod._MAX_SENTENCE_CHARS and len(words) > 2:
+                    words.pop()
+                s = words[0].capitalize() + " " + " ".join(words[1:]) + "."
+                sentences.append(s)
+                count += len(s.split())
+            return sentences
+
+        for seed in range(20):
+            ours, ref = random.Random(seed), random.Random(seed)
+            target = 30 + 97 * seed
+            got = corpus_mod._filler_sentences(ours.getrandbits, vocab, target)
+            assert got == reference(ref, target)
+            assert ours.getstate() == ref.getstate()
+
+
+class TestCorpusBytesPinned:
+    """sha256 of save_corpus output, the same as when filler words came from
+    rng.randint and rng.choice. A change that moves any corpus byte fails here;
+    pin a new digest only for a change that means to alter what corpora hold."""
+
+    @pytest.mark.parametrize("spec, digest", [
+        (default_corpus_spec(Task.RADIOLOGY, 200, 5),
+         "610d3aa9473f042e049d96d08658e5e5814896d0a52f7d70bd105a68e55988a2"),
+        (default_corpus_spec(Task.PATHOLOGY, 60, 5),
+         "b62f529b897b8e4ce96cf8f9327d8b578bcc5e30da684d676a7c3f0244c10af9"),
+        (default_corpus_spec(Task.PATHOLOGY, 300, 1),
+         "ce6b1aacd63b7c5b16496de181619934361155877c89e5b53a96a5405f801601"),
+        # mean 35 and sd 60 words put many reports on the 30-word floor
+        (CorpusSpec(Task.RADIOLOGY, 40, dict(RADIOLOGY_DISTRIBUTION), 35, 60, 1.0, 5),
+         "31b7c3bd9751cac9bbd5cecc7f0726f3b511054e21bcbb2cdd10d56ebe291e67"),
+    ], ids=["radiology-200-seed5", "pathology-60-seed5", "pathology-300-seed1",
+            "floor-all-distractors"])
+    def test_corpus_bytes(self, tmp_path, spec, digest):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(path, *generate_synthetic_corpus(spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestPersistence:
