@@ -1,48 +1,3 @@
 """Local LM extraction pipeline for diagnostic reports, with a benchmark harness."""
 
-from .corpus import (
-    CorpusSpec,
-    GoldAnnotation,
-    LabelSchema,
-    PATHOLOGY_SCHEMA,
-    RADIOLOGY_SCHEMA,
-    Report,
-    Task,
-    default_corpus_spec,
-    generate_synthetic_corpus,
-    load_corpus,
-    load_schema,
-    normalize_text,
-    save_corpus,
-    save_schema,
-)
-from .metrics import MetricsReport, compute_metrics, confusion
-from .postprocess import InvalidReason, ParsedLabel, parse_label
-from .prompting import FewShot, PromptStrategy, PromptStyle, build_prompt, default_exemplars
-from .retrieval import RetrievalSettings, RetrievedContext, select_context, split_recursive
-from .sweep import (
-    ExtractionRecord,
-    PipelineBackends,
-    PipelineConfig,
-    ResultStore,
-    SweepGrid,
-    aggregate,
-    enumerate_configs,
-    extract_one,
-    run_sweep,
-    sample_reports,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CorpusSpec", "GoldAnnotation", "LabelSchema", "PATHOLOGY_SCHEMA",
-    "RADIOLOGY_SCHEMA", "Report", "Task", "default_corpus_spec",
-    "generate_synthetic_corpus", "load_corpus", "load_schema", "normalize_text",
-    "save_corpus", "save_schema", "MetricsReport", "compute_metrics", "confusion",
-    "InvalidReason", "ParsedLabel", "parse_label", "FewShot", "PromptStrategy",
-    "PromptStyle", "build_prompt", "default_exemplars", "RetrievalSettings",
-    "RetrievedContext", "select_context", "split_recursive", "ExtractionRecord",
-    "PipelineBackends", "PipelineConfig", "ResultStore", "SweepGrid", "aggregate",
-    "enumerate_configs", "extract_one", "run_sweep", "sample_reports",
-]

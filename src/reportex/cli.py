@@ -71,6 +71,10 @@ def _read_report(path_or_dash: str, schema) -> corpus_mod.Report:
     except json.JSONDecodeError:
         obj = None
     if isinstance(obj, dict) and "text" in obj:
+        for key in ("id", "text"):
+            if key in obj and not isinstance(obj[key], str):
+                raise CorpusError(f"{path_or_dash}: {key} must be a string, "
+                                  f"not {type(obj[key]).__name__}")
         try:
             task = Task(obj.get("task", schema.task.value))
         except ValueError as e:

@@ -104,6 +104,9 @@ def load_schema(path) -> LabelSchema:
         labels = obj["valid_labels"]
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise CorpusError("valid_labels must be a list of strings")
+        for key in ("nr_label", "answer_key", "retrieval_keywords"):
+            if not isinstance(obj[key], str):
+                raise CorpusError(f"{key} must be a string, not {type(obj[key]).__name__}")
         return LabelSchema(
             task=Task(obj["task"]),
             valid_labels=tuple(labels),

@@ -41,8 +41,10 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_RETRIES = 3
@@ -238,7 +240,7 @@ def _shared_embed_pool() -> ThreadPoolExecutor:
         return _embed_pool
 
 
-def _embedding_row(data: dict) -> np.ndarray:
+def _embedding_row(data: dict, np) -> np.ndarray:
     if "embedding" not in data:
         raise ProtocolError(200, "missing 'embedding' field")
     try:
@@ -257,6 +259,8 @@ def embed(endpoint: str, model: str, texts: list[str]) -> np.ndarray:
     first failure in input order is raised, and requests still queued are
     cancelled. Not to be called from inside that pool.
     """
+    import numpy as np
+
     if not texts:
         raise ValueError("texts must be nonempty")
     url = resolve_endpoint(endpoint) + "/api/embeddings"
@@ -264,7 +268,7 @@ def embed(endpoint: str, model: str, texts: list[str]) -> np.ndarray:
     futures = [pool.submit(_post_with_retries, url, {"model": model, "prompt": text})
                for text in texts]
     try:
-        rows = [_embedding_row(future.result()) for future in futures]
+        rows = [_embedding_row(future.result(), np) for future in futures]
     finally:
         for future in futures:
             future.cancel()

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import LabelSchema
 from .postprocess import ParsedLabel
 
@@ -30,14 +28,14 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Counts indexed (gold, predicted); INVALID is a predicted-only pseudo-class."""
+    """Counts indexed [gold][predicted]; INVALID is a predicted-only pseudo-class."""
 
     classes: tuple[str, ...]
-    counts: np.ndarray
+    counts: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
-        return int(self.counts.sum())
+        return sum(map(sum, self.counts))
 
     def index(self, label: str) -> int:
         return self.classes.index(label)
@@ -49,15 +47,15 @@ def confusion(preds: list[ParsedLabel], gold: list[str], schema: LabelSchema) ->
         raise MetricsError(f"length mismatch: {len(preds)} predictions vs {len(gold)} gold labels")
     classes = tuple(schema.valid_labels) + (INVALID_LABEL,)
     idx = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    counts = [[0] * len(classes) for _ in classes]
     for p, g in zip(preds, gold):
         if g not in idx or g == INVALID_LABEL:
             raise MetricsError(f"gold label {g!r} not in schema")
         p_label = p.label if p.is_valid else INVALID_LABEL
         if p_label not in idx:
             raise MetricsError(f"predicted label {p_label!r} not in schema")
-        counts[idx[g], idx[p_label]] += 1
-    return ConfusionMatrix(classes=classes, counts=counts)
+        counts[idx[g]][idx[p_label]] += 1
+    return ConfusionMatrix(classes=classes, counts=tuple(map(tuple, counts)))
 
 
 @dataclass(frozen=True)
@@ -114,9 +112,9 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     tp_total = 0
     for c in gold_classes:
         i = cm.index(c)
-        tp = int(cm.counts[i, i])
-        fp = int(cm.counts[:, i].sum()) - tp
-        fn = int(cm.counts[i, :].sum()) - tp
+        tp = cm.counts[i][i]
+        fp = sum(row[i] for row in cm.counts) - tp
+        fn = sum(cm.counts[i]) - tp
         support = tp + fn
         precision = _safe_div(tp, tp + fp)
         recall = _safe_div(tp, tp + fn)
@@ -231,70 +229,86 @@ class StatTestResult:
         }
 
 
-def _check_sample(x, min_n: int, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < min_n:
+def _check_sample(x, min_n: int, name: str) -> list[float]:
+    """The sample as a list of floats: a flat sequence of at least min_n numbers."""
+    try:
+        sample = [float(v) for v in x] if not isinstance(x, (str, bytes)) else []
+    except (TypeError, ValueError):
+        sample = []
+    if len(sample) < min_n:
         raise MetricsError(f"{name}: need a 1-d sample with n >= {min_n}")
-    return arr
+    return sample
+
+
+def _mean(x: list[float]) -> float:
+    return math.fsum(x) / len(x)
+
+
+def _var(x: list[float]) -> float:
+    """Sample variance, with the n - 1 denominator."""
+    m = _mean(x)
+    return math.fsum((v - m) * (v - m) for v in x) / (len(x) - 1)
 
 
 def student_t(a, b) -> StatTestResult:
     """Independent two-sample t-test with pooled variance."""
     a = _check_sample(a, 2, "student_t")
     b = _check_sample(b, 2, "student_t")
-    na, nb = a.size, b.size
-    va, vb = a.var(ddof=1), b.var(ddof=1)
+    na, nb = len(a), len(b)
+    va, vb = _var(a), _var(b)
     sp2 = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
     se = math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
     if se == 0.0:
         raise MetricsError("student_t: zero variance in both samples, t undefined")
-    t = (a.mean() - b.mean()) / se
+    t = (_mean(a) - _mean(b)) / se
     df = na + nb - 2
-    return StatTestResult("student_t", float(t), float(df), t_two_sided_p(t, df), (na, nb))
+    return StatTestResult("student_t", t, float(df), t_two_sided_p(t, df), (na, nb))
 
 
 def welch_t(a, b) -> StatTestResult:
     """Welch's t-test with Welch-Satterthwaite degrees of freedom."""
     a = _check_sample(a, 2, "welch_t")
     b = _check_sample(b, 2, "welch_t")
-    na, nb = a.size, b.size
-    ua, ub = a.var(ddof=1) / na, b.var(ddof=1) / nb
+    na, nb = len(a), len(b)
+    ua, ub = _var(a) / na, _var(b) / nb
     se2 = ua + ub
     if se2 == 0.0:
         raise MetricsError("welch_t: zero variance in both samples, t undefined")
-    t = (a.mean() - b.mean()) / math.sqrt(se2)
+    t = (_mean(a) - _mean(b)) / math.sqrt(se2)
     df = se2 * se2 / (ua * ua / (na - 1) + ub * ub / (nb - 1))
-    return StatTestResult("welch_t", float(t), float(df), t_two_sided_p(t, df), (na, nb))
+    return StatTestResult("welch_t", t, df, t_two_sided_p(t, df), (na, nb))
 
 
 def paired_t(a, b) -> StatTestResult:
     """Paired-samples t-test; identical samples yield the null result t=0, p=1."""
     a = _check_sample(a, 2, "paired_t")
     b = _check_sample(b, 2, "paired_t")
-    if a.size != b.size:
+    if len(a) != len(b):
         raise MetricsError("paired_t: samples must have equal length")
-    d = a - b
-    n = d.size
-    sd = d.std(ddof=1)
+    d = [x - y for x, y in zip(a, b)]
+    n = len(d)
+    mean = _mean(d)
+    sd = math.sqrt(_var(d))
     if sd == 0.0:
-        if d.mean() == 0.0:
+        if mean == 0.0:
             return StatTestResult("paired_t", 0.0, float(n - 1), 1.0, (n, n))
         raise MetricsError("paired_t: constant nonzero differences, t undefined")
-    t = d.mean() / (sd / math.sqrt(n))
+    t = mean / (sd / math.sqrt(n))
     df = n - 1
-    return StatTestResult("paired_t", float(t), float(df), t_two_sided_p(t, df), (n, n))
+    return StatTestResult("paired_t", t, float(df), t_two_sided_p(t, df), (n, n))
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
+def _average_ranks(x: list[float]) -> list[float]:
     """Ranks 1..n with ties assigned the average rank of their run."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
+    order = sorted(range(len(x)), key=x.__getitem__)
+    ranks = [0.0] * len(x)
     i = 0
-    while i < x.size:
+    while i < len(x):
         j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        for k in order[i : j + 1]:
+            ranks[k] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
 
@@ -303,16 +317,18 @@ def spearman(x, y) -> StatTestResult:
     """Spearman rank correlation with average-rank ties and a t-approximation p."""
     x = _check_sample(x, 3, "spearman")
     y = _check_sample(y, 3, "spearman")
-    if x.size != y.size:
+    if len(x) != len(y):
         raise MetricsError("spearman: samples must have equal length")
-    if np.all(x == x[0]) or np.all(y == y[0]):
+    if x.count(x[0]) == len(x) or y.count(y[0]) == len(y):
         raise MetricsError("spearman: constant input vector, ranks degenerate")
     rx, ry = _average_ranks(x), _average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    rho = float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
+    mx, my = _mean(rx), _mean(ry)
+    rx = [r - mx for r in rx]
+    ry = [r - my for r in ry]
+    cov = math.fsum(p * q for p, q in zip(rx, ry))
+    rho = cov / math.sqrt(math.fsum(p * p for p in rx) * math.fsum(q * q for q in ry))
     rho = max(-1.0, min(1.0, rho))
-    n = x.size
+    n = len(x)
     if abs(rho) == 1.0:
         return StatTestResult("spearman", rho, float(n - 2), 0.0, (n, n))
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
@@ -323,8 +339,8 @@ def cohens_d(a, b) -> float:
     """Standardized mean difference with (n-1)-weighted pooled standard deviation."""
     a = _check_sample(a, 2, "cohens_d")
     b = _check_sample(b, 2, "cohens_d")
-    na, nb = a.size, b.size
-    sp2 = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / (na + nb - 2)
+    na, nb = len(a), len(b)
+    sp2 = ((na - 1) * _var(a) + (nb - 1) * _var(b)) / (na + nb - 2)
     if sp2 == 0.0:
         raise MetricsError("cohens_d: zero pooled standard deviation")
-    return float((a.mean() - b.mean()) / math.sqrt(sp2))
+    return (_mean(a) - _mean(b)) / math.sqrt(sp2)

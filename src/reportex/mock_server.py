@@ -24,31 +24,35 @@ from collections import Counter
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING
 
 from .corpus import LabelSchema, Report, answer_sentence
 from .prompting import FewShot, PromptStrategy, PromptStyle, build_prompt, default_exemplars
 from .retrieval import MockHashEmbedder, RetrievedContext
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SHINGLE = 16
-_HASH_BASE = np.uint64(1099511628211)  # FNV prime; products wrap mod 2**64
-_HASH_WEIGHTS = _HASH_BASE ** np.arange(_SHINGLE - 1, -1, -1, dtype=np.uint64)
+_HASH_BASE = 1099511628211  # FNV prime; products wrap mod 2**64
 _HASH_BLOCK = 1 << 17
 
 
 def _window_hashes(text: str) -> np.ndarray:
     """Polynomial hash of every 16-byte window of the UTF-8 text (uint64 wraparound)."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     n = data.size - _SHINGLE + 1
     if n <= 0:
         return np.empty(0, dtype=np.uint64)
+    weights = np.uint64(_HASH_BASE) ** np.arange(_SHINGLE - 1, -1, -1, dtype=np.uint64)
     out = np.empty(n, dtype=np.uint64)
     for start in range(0, n, _HASH_BLOCK):
         end = min(start + _HASH_BLOCK, n)
         windows = sliding_window_view(data[start : end + _SHINGLE - 1], _SHINGLE)
-        out[start:end] = (windows.astype(np.uint64) * _HASH_WEIGHTS).sum(axis=1)
+        out[start:end] = (windows.astype(np.uint64) * weights).sum(axis=1)
     return out
 
 

@@ -9,12 +9,13 @@ import re
 import threading
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import Callable, Hashable, Protocol, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Hashable, Protocol, TypeVar
 
 from . import lm_client
 from .corpus import LabelSchema, Report
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RRF_K = 60  # reciprocal-rank fusion constant
 
@@ -152,6 +153,8 @@ class VectorIndex:
     """Flat exact-search index over unit-normalized chunk embeddings."""
 
     def __init__(self, chunks: list[Chunk], vectors: np.ndarray):
+        import numpy as np
+
         matrix = np.asarray(vectors, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
             raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix")
@@ -165,6 +168,8 @@ class VectorIndex:
 
 def dense_search(index: VectorIndex, query_vector, n: int) -> list[tuple[Chunk, float]]:
     """Exhaustive cosine-similarity top-n, descending, ties by chunk index."""
+    import numpy as np
+
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (index.dimension,):
         raise VectorIndexError(f"query dimension {q.shape} does not match index ({index.dimension},)")
@@ -258,7 +263,7 @@ class MockHashEmbedder:
         self.seed = seed
         self._token_cache: dict[str, np.ndarray] = {}
 
-    def _token_vector(self, token: str) -> np.ndarray:
+    def _token_vector(self, token: str, np) -> np.ndarray:
         vec = self._token_cache.get(token)
         if vec is None:
             digest = hashlib.blake2b(f"{self.seed}:{token}".encode("utf-8"), digest_size=8).digest()
@@ -268,12 +273,14 @@ class MockHashEmbedder:
         return vec
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((len(texts), self.dimension))
         for i, text in enumerate(texts):
             tokens = tokenize(text)
             if not tokens:
                 continue
-            v = np.sum([self._token_vector(t) for t in tokens], axis=0)
+            v = np.sum([self._token_vector(t, np) for t in tokens], axis=0)
             norm = np.linalg.norm(v)
             if norm > 0:
                 out[i] = v / norm

@@ -332,8 +332,9 @@ class ResultStore:
     """Append-only JSONL result store with crash recovery.
 
     A process killed mid-append leaves a truncated final line; open() trims it
-    so the pair is recomputed on resume. Any other malformed line means real
-    corruption and aborts with a diagnostic.
+    so the pair is recomputed on resume. Any other line that is not JSON, or
+    is JSON but not a record, means real corruption and aborts with a
+    diagnostic naming the line.
     """
 
     def __init__(self, path):
@@ -357,7 +358,7 @@ class ResultStore:
                 continue
             try:
                 record = ExtractionRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError) as e:
+            except (ValueError, KeyError, TypeError, AttributeError) as e:
                 raise StoreCorruptError(f"{p}: line {lineno}: unreadable record ({e})") from e
             pair = (record.report_id, record.config_hash)
             if pair in store._pairs:

@@ -204,6 +204,34 @@ class TestExtract:
                      "--endpoint", corpus_files["endpoint"]]) == 2
         assert f"{part} must be a JSON object, not list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("report_obj, message", [
+        ({"text": 5}, "text must be a string, not int"),
+        ({"text": "a b", "id": 5}, "id must be a string, not int"),
+    ], ids=["text", "id"])
+    def test_report_field_not_a_string_exit_2(self, corpus_files, tmp_path, capsys, report_obj,
+                                              message):
+        path = tmp_path / "bad_report.json"
+        path.write_text(json.dumps(report_obj))
+        assert main(["extract", str(path), "--config", corpus_files["config"],
+                     "--schema", corpus_files["schema"],
+                     "--endpoint", corpus_files["endpoint"]]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("answer_key", 5), ("nr_label", True), ("retrieval_keywords", ["w"]),
+    ], ids=["answer_key", "nr_label", "retrieval_keywords"])
+    def test_schema_field_not_a_string_exit_2(self, corpus_files, tmp_path, capsys, key, value):
+        path, _ = self._report_file(corpus_files, "2")
+        with open(corpus_files["schema"]) as fh:
+            schema_obj = json.load(fh)
+        schema_obj[key] = value
+        schema = tmp_path / "bad_schema.json"
+        schema.write_text(json.dumps(schema_obj))
+        # a closed port: exit 3 would mean the backend was called
+        assert main(["extract", str(path), "--config", corpus_files["config"],
+                     "--schema", str(schema), "--endpoint", "http://127.0.0.1:9"]) == 2
+        assert f"{key} must be a string, not {type(value).__name__}" in capsys.readouterr().err
+
     def test_backend_unreachable_exit_3(self, corpus_files, monkeypatch):
         monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRY_BASE", 0.001)
         path, _ = self._report_file(corpus_files, "2")
@@ -378,6 +406,22 @@ class TestMalformedInputFiles:
         corpus.write_text(first + json.dumps(bad_line) + "\n")
         assert self._run(corpus_files, tmp_path, command, corpus=str(corpus)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("bad_line", [
+        "5",
+        '["a"]',
+        json.dumps({"report_id": "r", "config_hash": "c", "raw_output": "",
+                    "parsed": {"reason": "nope"}, "rag_used": False}),
+        json.dumps({"report_id": "r", "config_hash": "c", "raw_output": "",
+                    "parsed": 5, "rag_used": False}),
+    ], ids=["number", "list", "unknown-reason", "parsed-number"])
+    def test_store_line_not_a_record_exit_2(self, corpus_files, tmp_path, capsys, command,
+                                           bad_line):
+        store = tmp_path / "malformed.jsonl"
+        store.write_text(bad_line + "\n")
+        assert self._run(corpus_files, tmp_path, command) == 2
+        assert "line 1: unreadable record" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
     @pytest.mark.parametrize("schema_obj, message", [

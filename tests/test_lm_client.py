@@ -160,7 +160,8 @@ class TestErrorMapping:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c",
-                        "import reportex, sys; assert 'requests' not in sys.modules"],
+                        "import reportex.cli, reportex.mock_server, sys; "
+                        "assert 'requests' not in sys.modules"],
                        check=True, env=env)
 
 

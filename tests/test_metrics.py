@@ -52,20 +52,20 @@ class TestConfusion:
     def test_perfect_diagonal(self):
         gold = ["A", "B", "C", "A", "B"]
         cm = confusion(_preds(gold), gold, ABC)
-        assert cm.counts.sum() == 5
-        assert np.trace(cm.counts) == 5
+        assert sum(map(sum, cm.counts)) == 5
+        assert sum(cm.counts[i][i] for i in range(len(cm.classes))) == 5
 
     def test_invalid_column(self):
         cm = confusion(_preds(["A", None, "B"]), ["A", "B", "B"], ABC)
         inv = cm.index(INVALID_LABEL)
-        assert cm.counts[cm.index("B"), inv] == 1
+        assert cm.counts[cm.index("B")][inv] == 1
 
     def test_hand_tally(self):
         cm = confusion(_preds(["A", "A", "B"]), ["A", "B", "B"], ABC)
         a, b = cm.index("A"), cm.index("B")
-        assert cm.counts[a, a] == 1
-        assert cm.counts[b, a] == 1
-        assert cm.counts[b, b] == 1
+        assert cm.counts[a][a] == 1
+        assert cm.counts[b][a] == 1
+        assert cm.counts[b][b] == 1
 
     def test_length_mismatch(self):
         with pytest.raises(MetricsError):

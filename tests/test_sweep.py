@@ -244,6 +244,26 @@ class TestResultStore:
         with pytest.raises(StoreCorruptError, match="line 1"):
             ResultStore.open(path)
 
+    @pytest.mark.parametrize("bad_line", [
+        "5",
+        '["a"]',
+        json.dumps({"report_id": "r9", "config_hash": "c1", "raw_output": "",
+                    "parsed": {"reason": "nope"}, "rag_used": False}),
+        json.dumps({"report_id": "r9", "config_hash": "c1", "raw_output": "",
+                    "parsed": 5, "rag_used": False}),
+    ], ids=["number", "list", "unknown-reason", "parsed-number"])
+    def test_json_that_is_not_a_record(self, tmp_path, bad_line):
+        path = tmp_path / "store.jsonl"
+        ResultStore.open(path).append(self._record("r1", "c1"))
+        good = path.read_text()
+        path.write_text(good + bad_line + "\n")
+        with pytest.raises(StoreCorruptError, match="line 2: unreadable record"):
+            ResultStore.open(path)
+        # The same line cut short, with no newline, is a torn append: trimmed.
+        path.write_text(good + bad_line)
+        assert ResultStore.open(path).pairs == {("r1", "c1")}
+        assert path.read_text() == good
+
     def test_duplicate_pair_in_file_aborts(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore.open(path)
