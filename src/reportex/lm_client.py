@@ -27,13 +27,15 @@ holds across all callers: two sweep workers embedding at once share the same
 EMBED_CONCURRENCY requests in flight, over at most EMBED_CONCURRENCY
 connections. A bound per call would multiply with the callers and overflow a
 small server listen queue, where each dropped connection waits out a 1 s SYN
-retransmit.
+retransmit. It returns one row per text, a list of Python floats scaled to
+unit L2 norm; the client needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import threading
 import time
@@ -41,10 +43,6 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_RETRIES = 3
@@ -56,6 +54,7 @@ EMBED_CONCURRENCY = 8  # embedding requests in flight, per process
 
 _embed_pool: ThreadPoolExecutor | None = None
 _embed_pool_lock = threading.Lock()
+_embed_submit_lock = threading.Lock()
 
 _thread = threading.local()  # .kept: this thread's _KeptConnection, if any
 
@@ -240,42 +239,48 @@ def _shared_embed_pool() -> ThreadPoolExecutor:
         return _embed_pool
 
 
-def _embedding_row(data: dict, np) -> np.ndarray:
+def _embedding_row(data: dict) -> list[float]:
     if "embedding" not in data:
         raise ProtocolError(200, "missing 'embedding' field")
+    row = data["embedding"]
+    if not isinstance(row, list) or not row or any(isinstance(x, list) for x in row):
+        raise ProtocolError(200, f"embedding must be a nonempty flat number array: {str(row)[:80]}")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
+        raise ProtocolError(200, f"non-numeric embedding: {str(row)[:80]}")
     try:
-        row = np.asarray(data["embedding"], dtype=np.float64)
-    except (TypeError, ValueError) as e:
+        return [float(x) for x in row]
+    except OverflowError as e:  # an integer beyond float range
         raise ProtocolError(200, f"non-numeric embedding: {e}") from e
-    if row.ndim != 1 or row.size == 0:
-        raise ProtocolError(200, f"embedding must be a flat number array, got shape {row.shape}")
-    return row
 
 
-def embed(endpoint: str, model: str, texts: list[str]) -> np.ndarray:
+def _normalized(row: list[float]) -> list[float]:
+    """The row scaled to unit L2 norm; a zero row stays zero."""
+    norm = math.sqrt(math.fsum(x * x for x in row))
+    return [x / norm for x in row] if norm > 0 else row
+
+
+def embed(endpoint: str, model: str, texts: list[str]) -> list[list[float]]:
     """Embed each text through the server; rows come back L2-normalized, in input order.
 
     The requests run concurrently in the process-wide embedding pool. The
     first failure in input order is raised, and requests still queued are
     cancelled. Not to be called from inside that pool.
     """
-    import numpy as np
-
     if not texts:
         raise ValueError("texts must be nonempty")
     url = resolve_endpoint(endpoint) + "/api/embeddings"
     pool = _shared_embed_pool()
-    futures = [pool.submit(_post_with_retries, url, {"model": model, "prompt": text})
-               for text in texts]
+    # One call's requests queue together, so that the first caller's rows come
+    # back first instead of every caller's last row arriving at the end.
+    with _embed_submit_lock:
+        futures = [pool.submit(_post_with_retries, url, {"model": model, "prompt": text})
+                   for text in texts]
     try:
-        rows = [_embedding_row(future.result(), np) for future in futures]
+        rows = [_embedding_row(future.result()) for future in futures]
     finally:
         for future in futures:
             future.cancel()
-    dims = {r.shape for r in rows}
+    dims = {len(r) for r in rows}
     if len(dims) != 1:
         raise ProtocolError(200, f"inconsistent embedding dimensions: {sorted(dims)}")
-    matrix = np.vstack(rows)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return matrix / norms
+    return [_normalized(r) for r in rows]

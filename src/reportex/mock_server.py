@@ -2,10 +2,11 @@
 
 The mock speaks the same wire protocol as a real server. Because the protocol
 carries only the prompt, report identity is recovered from the prompt text via
-a substring-shingle index over the corpus: 16-character windows unique to one
-report vote for its id, and windows unique to one gold label (from the
-synthetic answer-sentence templates) act as a fallback when a selected chunk
-carries no report-unique text. Unknown prompts get a garbage-mode response.
+a substring-shingle index over the corpus, keyed by the exact bytes of each
+16-byte window of the UTF-8 text: windows unique to one report vote for its
+id, and windows unique to one gold label (from the synthetic answer-sentence
+templates) act as a fallback when a selected chunk carries no report-unique
+text. Unknown prompts get a garbage-mode response.
 
 The constant prompt text must never vote, so every window of it is removed
 from both indexes. That text is taken from `prompting.build_prompt` itself:
@@ -19,56 +20,41 @@ import hashlib
 import json
 import random
 import socket
+import sys
 import threading
 from collections import Counter
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import Iterator
 
 from .corpus import LabelSchema, Report, answer_sentence
 from .prompting import FewShot, PromptStrategy, PromptStyle, build_prompt, default_exemplars
 from .retrieval import MockHashEmbedder, RetrievedContext
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _SHINGLE = 16
-_HASH_BASE = 1099511628211  # FNV prime; products wrap mod 2**64
-_HASH_BLOCK = 1 << 17
 
 
-def _window_hashes(text: str) -> np.ndarray:
-    """Polynomial hash of every 16-byte window of the UTF-8 text (uint64 wraparound)."""
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    n = data.size - _SHINGLE + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.uint64)
-    weights = np.uint64(_HASH_BASE) ** np.arange(_SHINGLE - 1, -1, -1, dtype=np.uint64)
-    out = np.empty(n, dtype=np.uint64)
-    for start in range(0, n, _HASH_BLOCK):
-        end = min(start + _HASH_BLOCK, n)
-        windows = sliding_window_view(data[start : end + _SHINGLE - 1], _SHINGLE)
-        out[start:end] = (windows.astype(np.uint64) * weights).sum(axis=1)
-    return out
+def _windows(text: str) -> Iterator[bytes]:
+    """Every 16-byte window of the UTF-8 text, in order, made as it is read."""
+    data = text.encode("utf-8")
+    return (data[i : i + _SHINGLE] for i in range(len(data) - _SHINGLE + 1))
 
 
-def _claim(index: dict[int, str | None], text: str, owner: str | None) -> None:
+def _claim(index: dict[bytes, str | None], text: str, owner: str | None) -> None:
     """Give every window of `text` to `owner`. A window claimed by two owners,
     or by owner None, belongs to nobody and can never vote."""
-    for h in _window_hashes(text).tolist():
-        index[h] = owner if index.get(h, owner) == owner else None
+    for window in _windows(text):
+        if index.setdefault(window, owner) != owner:
+            index[window] = None
 
 
-def _vote(index: dict[int, str | None], prompt: str) -> str | None:
+def _vote(index: dict[bytes, str | None], prompt: str) -> str | None:
     """The owner of the most prompt windows, ties to the greatest owner; None
     if no window votes. The scan may stop once the leader is 25 votes ahead."""
     votes: Counter[str] = Counter()
-    for scanned, h in enumerate(_window_hashes(prompt).tolist(), start=1):
-        owner = index.get(h)
+    for scanned, window in enumerate(_windows(prompt), start=1):
+        owner = index.get(window)
         if owner is not None:
             votes[owner] += 1
         if scanned % 256 == 0 and votes:
@@ -132,10 +118,10 @@ class MockModel:
         self.garbage = load_garbage_fixtures()
         self.malformed = load_malformed_templates()
         self.embedder = MockHashEmbedder(dimension=64, seed=seed)
-        self._report_index: dict[int, str | None] = {}
+        self._report_index: dict[bytes, str | None] = {}
         for r in reports:
             _claim(self._report_index, r.text, r.id)
-        self._label_index: dict[int, str | None] = {}
+        self._label_index: dict[bytes, str | None] = {}
         for label in schema.valid_labels:
             if label != schema.nr_label:
                 _claim(self._label_index, answer_sentence(schema.task, label), label)
@@ -254,6 +240,11 @@ class _Server(ThreadingHTTPServer):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A client that drops its kept connection between requests is no error.
+        if not isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
+            super().handle_error(request, client_address)
 
     def close_connections(self) -> None:
         with self._open_lock:

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
 import threading
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Protocol, Sequence, TypeVar
 
 from . import lm_client
 from .corpus import LabelSchema, Report
@@ -150,35 +151,43 @@ class VectorIndexError(ValueError):
 
 
 class VectorIndex:
-    """Flat exact-search index over unit-normalized chunk embeddings."""
+    """Flat exact-search index over unit-normalized chunk embeddings, kept as
+    one list of floats per chunk. Any iterable of rows will do, an ndarray
+    included."""
 
-    def __init__(self, chunks: list[Chunk], vectors: np.ndarray):
-        import numpy as np
-
-        matrix = np.asarray(vectors, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != len(chunks):
+    def __init__(self, chunks: list[Chunk], vectors: Iterable[Iterable[float]]):
+        try:
+            rows = [[float(x) for x in row] for row in vectors]
+        except (TypeError, ValueError) as e:
+            raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix") from e
+        if len(rows) != len(chunks) or len({len(row) for row in rows}) > 1:
             raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix")
-        norms = np.linalg.norm(matrix, axis=1)
-        if matrix.size and np.any(np.abs(norms - 1.0) > 1e-6):
+        if any(abs(_norm(row) - 1.0) > 1e-6 for row in rows):
             raise VectorIndexError("stored vectors must be unit-normalized (L2 norm 1 +- 1e-6)")
         self.chunks = tuple(chunks)
-        self.matrix = matrix
-        self.dimension = matrix.shape[1] if matrix.size else 0
+        self.rows = rows
+        self.dimension = len(rows[0]) if rows else 0
+
+
+def _norm(row: list[float]) -> float:
+    return math.sqrt(math.fsum(x * x for x in row))
 
 
 def dense_search(index: VectorIndex, query_vector, n: int) -> list[tuple[Chunk, float]]:
     """Exhaustive cosine-similarity top-n, descending, ties by chunk index."""
-    import numpy as np
-
-    q = np.asarray(query_vector, dtype=np.float64)
-    if q.shape != (index.dimension,):
-        raise VectorIndexError(f"query dimension {q.shape} does not match index ({index.dimension},)")
-    norm = np.linalg.norm(q)
+    try:
+        q = [float(x) for x in query_vector]
+    except (TypeError, ValueError) as e:
+        raise VectorIndexError(f"query must be a vector of dimension {index.dimension}") from e
+    if len(q) != index.dimension:
+        raise VectorIndexError(
+            f"query dimension ({len(q)},) does not match index ({index.dimension},)")
+    norm = _norm(q)
     if norm > 0:
-        q = q / norm
-    scores = index.matrix @ q
-    order = sorted(range(len(index.chunks)), key=lambda i: (-scores[i], i))
-    return [(index.chunks[i], float(scores[i])) for i in order[:n]]
+        q = [x / norm for x in q]
+    scores = [math.fsum(map(operator.mul, row, q)) for row in index.rows]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return [(index.chunks[i], scores[i]) for i in order[:n]]
 
 
 def hybrid_search(ranking_a: list[tuple[Chunk, float]], ranking_b: list[tuple[Chunk, float]],
@@ -234,7 +243,7 @@ class RerankError(RuntimeError):
 
 
 class Embedder(Protocol):
-    def embed(self, texts: list[str]) -> np.ndarray: ...
+    def embed(self, texts: list[str]) -> Sequence[Sequence[float]]: ...
 
 
 class RerankScorer(Protocol):
@@ -256,7 +265,10 @@ def rerank(query: str, candidates: list[Chunk], scorer: RerankScorer) -> list[tu
 
 class MockHashEmbedder:
     """Deterministic seeded-hash embedder: a text's vector is the normalized sum
-    of per-token gaussian vectors, so shared tokens raise cosine similarity."""
+    of per-token gaussian vectors, so shared tokens raise cosine similarity.
+
+    Its token vectors come from numpy's seeded generator, so it needs numpy,
+    which the `test` extra installs; embed() returns an ndarray."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
         self.dimension = dimension
@@ -304,7 +316,7 @@ class RemoteEmbedder:
         self.endpoint = endpoint
         self.model = model
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: list[str]) -> Sequence[Sequence[float]]:
         return lm_client.embed(self.endpoint, self.model, texts)
 
 

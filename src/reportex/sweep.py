@@ -126,6 +126,19 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+# Each record field's type and whether it may be None; bool is never a number.
+_RECORD_FIELD_TYPES = (
+    ("report_id", str, False),
+    ("config_hash", str, False),
+    ("raw_output", str, False),
+    ("rag_used", bool, False),
+    ("rerank_score", numbers.Real, True),
+    ("latency_ms", numbers.Real, False),
+    ("timestamp", numbers.Real, False),
+    ("error", str, True),
+)
+
+
 @dataclass(frozen=True)
 class ExtractionRecord:
     report_id: str
@@ -155,7 +168,8 @@ class ExtractionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtractionRecord":
-        return cls(
+        """The record a store line holds; TypeError for a field of the wrong type."""
+        record = cls(
             report_id=d["report_id"],
             config_hash=d["config_hash"],
             raw_output=d["raw_output"],
@@ -166,6 +180,15 @@ class ExtractionRecord:
             timestamp=d.get("timestamp", 0.0),
             error=d.get("error"),
         )
+        for name, kind, nullable in _RECORD_FIELD_TYPES:
+            value = getattr(record, name)
+            if value is None and nullable:
+                continue
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                expected = "number" if kind is numbers.Real else kind.__name__
+                raise TypeError(f"{name} must be {expected}{' or null' if nullable else ''}, "
+                                f"not {value!r:.80}")
+        return record
 
 
 @dataclass(frozen=True)
@@ -353,11 +376,13 @@ class ResultStore:
             raw = raw[: raw.rfind(b"\n") + 1] if b"\n" in raw else b""
             with open(p, "r+b") as fh:
                 fh.truncate(len(raw))
-        for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
+        # Bytes split only at \n and \r, which JSON always escapes; str.splitlines
+        # would also split at U+2028 or U+0085 inside a record's strings.
+        for lineno, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                record = ExtractionRecord.from_dict(json.loads(line))
+                record = ExtractionRecord.from_dict(json.loads(line.decode("utf-8")))
             except (ValueError, KeyError, TypeError, AttributeError) as e:
                 raise StoreCorruptError(f"{p}: line {lineno}: unreadable record ({e})") from e
             pair = (record.report_id, record.config_hash)

@@ -424,6 +424,20 @@ class TestMalformedInputFiles:
         assert "line 1: unreadable record" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_store_line_not_utf8_exit_2(self, corpus_files, tmp_path, capsys, command):
+        (tmp_path / "malformed.jsonl").write_bytes(b"\xff\xfe\n")
+        assert self._run(corpus_files, tmp_path, command) == 2
+        assert "line 1: unreadable record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_store_field_of_wrong_type_exit_2(self, corpus_files, tmp_path, capsys, command):
+        line = {"report_id": 5, "config_hash": "c", "raw_output": "", "parsed": {"label": "2"},
+                "rag_used": "yes", "rerank_score": None, "latency_ms": 1.0, "timestamp": 0.0}
+        (tmp_path / "malformed.jsonl").write_text(json.dumps(line) + "\n")
+        assert self._run(corpus_files, tmp_path, command) == 2
+        assert "line 1: unreadable record (report_id must be str" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
     @pytest.mark.parametrize("schema_obj, message", [
         ([1], "expected a JSON object, not list"),
         ({"task": "radiology", "valid_labels": "abc", "nr_label": "c", "answer_key": "k",

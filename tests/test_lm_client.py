@@ -170,7 +170,7 @@ class TestEmbedWire:
         server, _, _ = oracle_server
         vectors = embed(server.endpoint, "gte-large", ["idh detected", "idh detected"])
         assert np.array_equal(vectors[0], vectors[1])
-        assert vectors.shape == (2, 64)
+        assert len(vectors) == 2 and all(len(row) == 64 for row in vectors)
 
     def test_normalized(self, oracle_server):
         server, _, _ = oracle_server
@@ -184,12 +184,66 @@ class TestEmbedWire:
             "idh mutation detected positive",
             "the weather is nice",
         ])
-        assert base @ close > base @ far
+        assert np.dot(base, close) > np.dot(base, far)
 
     def test_empty_texts_rejected(self, oracle_server):
         server, _, _ = oracle_server
         with pytest.raises(ValueError):
             embed(server.endpoint, "gte-large", [])
+
+    def test_rows_are_lists_of_floats(self, oracle_server):
+        server, _, _ = oracle_server
+        rows = embed(server.endpoint, "gte-large", ["idh detected", "no words match"])
+        assert type(rows) is list
+        assert all(type(row) is list and all(type(x) is float for x in row) for row in rows)
+
+
+class _ReplyModel(MockModel):
+    """Mock that answers each embedding prompt with `replies[prompt]`."""
+
+    def __init__(self, replies):
+        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)
+        self.replies = replies
+
+    def embeddings(self, payload):
+        return self.replies[payload["prompt"]]
+
+
+def _embed_replies(replies):
+    with MockLmServer(_ReplyModel(replies)) as server:
+        return embed(server.endpoint, "m", list(replies))
+
+
+class TestEmbedRows:
+    def test_rows_normalized_with_exact_sums(self):
+        rows = _embed_replies({"a": {"embedding": [3, 4]}, "b": {"embedding": [0.0, 2.5]}})
+        assert rows == [[0.6, 0.8], [0.0, 1.0]]
+        assert all(type(x) is float for row in rows for x in row)
+
+    def test_zero_row_stays_zero(self):
+        assert _embed_replies({"a": {"embedding": [0, 0.0, 0]}}) == [[0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("reply", [
+        {},
+        {"embedding": [[0.6, 0.8]]},
+        {"embedding": [0.6, [0.8]]},
+        {"embedding": ["0.6", 0.8]},
+        {"embedding": [None, 1.0]},
+        {"embedding": [True, 1.0]},
+        {"embedding": [int("9" * 400)]},
+        {"embedding": []},
+        {"embedding": 0.6},
+        {"embedding": {"x": 0.6}},
+        {"embedding": None},
+    ], ids=["missing", "nested", "ragged", "string", "null", "bool", "overflow", "empty",
+            "scalar", "object", "null-row"])
+    def test_malformed_row_is_protocol_error(self, reply):
+        with pytest.raises(ProtocolError):
+            _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": reply})
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ProtocolError, match="inconsistent embedding dimensions"):
+            _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": {"embedding": [1.0, 0.0, 0.0]}})
 
 
 class _InFlightModel(MockModel):
@@ -435,6 +489,30 @@ class TestConnections:
             for s in sockets:
                 s.close()
             server.stop()
+
+
+class TestMockServerErrors:
+    def _handle(self, exc):
+        server = mock_server._Server(("127.0.0.1", 0), mock_server._Handler)
+        try:
+            try:
+                raise exc
+            except type(exc):
+                server.handle_error(None, ("127.0.0.1", 1))
+        finally:
+            server.server_close()
+
+    @pytest.mark.parametrize("exc", [ConnectionResetError(104, "reset"),
+                                     BrokenPipeError(32, "pipe")], ids=["reset", "broken-pipe"])
+    def test_client_dropping_its_connection_prints_nothing(self, exc, capsys):
+        self._handle(exc)
+        assert capsys.readouterr() == ("", "")
+
+    def test_other_errors_still_print(self, capsys):
+        self._handle(ValueError("boom"))
+        err = capsys.readouterr().err
+        assert "Exception occurred during processing of request from ('127.0.0.1', 1)" in err
+        assert "ValueError: boom" in err
 
 
 class TestMockModes:

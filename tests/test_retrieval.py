@@ -18,6 +18,7 @@ from reportex.retrieval import (
     SingleFlightMemo,
     TokenOverlapReranker,
     VectorIndex,
+    VectorIndexError,
     bm25_rank,
     bm25_score,
     dense_search,
@@ -227,6 +228,37 @@ class TestDenseSearch:
     def test_non_unit_vectors_rejected(self):
         with pytest.raises(ValueError):
             VectorIndex(_chunks(["a"]), np.array([[2.0, 0.0]]))
+
+    def test_row_lists_and_ndarrays_search_alike(self):
+        rng = np.random.default_rng(6)
+        vectors = _unit_rows(rng, 30, 64)
+        chunks = _chunks(["c%d" % i for i in range(30)])
+        q = rng.standard_normal(64)
+        expected = dense_search(VectorIndex(chunks, vectors), q, 30)
+        for rows in (vectors.tolist(), (list(row) for row in vectors.tolist())):
+            got = dense_search(VectorIndex(chunks, rows), q.tolist(), 30)
+            assert [c.index for c, _ in got] == [c.index for c, _ in expected]
+            assert all(type(score) is float for _, score in got)
+            np.testing.assert_allclose([s for _, s in got], [s for _, s in expected],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("vectors", [
+        [[1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 1.0, 0.0]],
+        [[1.0, 0.0], [0.0, "x"]],
+        [1.0, 0.0],
+        [[1.0, 0.0], [0.0, 0.5]],
+    ], ids=["row-count", "ragged", "non-numeric", "flat", "not-unit"])
+    def test_malformed_vectors_rejected(self, vectors):
+        with pytest.raises(VectorIndexError):
+            VectorIndex(_chunks(["a", "b"]), vectors)
+
+    @pytest.mark.parametrize("query", [5.0, [1.0, "x"], [1.0]], ids=["scalar", "non-numeric",
+                                                                    "short"])
+    def test_malformed_query_rejected(self, query):
+        index = VectorIndex(_chunks(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(VectorIndexError):
+            dense_search(index, query, 1)
 
 
 class TestHybridSearch:

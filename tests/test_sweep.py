@@ -264,6 +264,61 @@ class TestResultStore:
         assert ResultStore.open(path).pairs == {("r1", "c1")}
         assert path.read_text() == good
 
+    def test_undecodable_line_aborts(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore.open(path).append(self._record("r1", "c1"))
+        good = path.read_bytes()
+        path.write_bytes(good + b"\xff\xfe\n")
+        with pytest.raises(StoreCorruptError, match="line 2: unreadable record"):
+            ResultStore.open(path)
+        # The same bytes with no newline are a torn append: trimmed.
+        path.write_bytes(good + b"\xff\xfe")
+        assert ResultStore.open(path).pairs == {("r1", "c1")}
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("field, value", [
+        ("report_id", 5),
+        ("report_id", None),
+        ("config_hash", ["c1"]),
+        ("raw_output", None),
+        ("rag_used", "yes"),
+        ("rag_used", 1),
+        ("rerank_score", "0.5"),
+        ("rerank_score", True),
+        ("latency_ms", None),
+        ("latency_ms", False),
+        ("timestamp", "0"),
+        ("error", 5),
+    ])
+    def test_field_of_wrong_type_aborts(self, tmp_path, field, value):
+        path = tmp_path / "store.jsonl"
+        d = self._record("r1", "c1").to_dict()
+        path.write_text(json.dumps(d) + "\n" + json.dumps({**d, "report_id": "r2", field: value})
+                        + "\n")
+        with pytest.raises(StoreCorruptError,
+                           match=rf"line 2: unreadable record \({field} must be"):
+            ResultStore.open(path)
+
+    def test_fields_of_every_allowed_type_load(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        d = self._record("r1", "c1").to_dict()
+        lines = [{**d, "rerank_score": None, "latency_ms": 3, "timestamp": 0},
+                 {**d, "report_id": "r2", "rerank_score": 1, "error": "TransportError: x"},
+                 {**d, "report_id": "r3", "rerank_score": 0.25, "error": None}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        store = ResultStore.open(path)
+        assert [r.to_dict() for r in store.records] == [
+            ExtractionRecord.from_dict(line).to_dict() for line in lines]
+        assert store.records[1].error == "TransportError: x"
+
+    def test_line_separators_inside_strings_round_trip(self, tmp_path):
+        # JSON leaves U+2028, U+2029 and U+0085 unescaped, and str.splitlines splits at them.
+        path = tmp_path / "store.jsonl"
+        record = ExtractionRecord("r\u2029", "c1", "a\u2028b\x85c", ParsedLabel.valid("2"),
+                                  False, None, 1.0, 0.0)
+        ResultStore.open(path).append(record)
+        assert ResultStore.open(path).records == [record]
+
     def test_duplicate_pair_in_file_aborts(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore.open(path)
