@@ -1,7 +1,8 @@
 """Command-line entry point: corpus generation, single extraction, sweeps, reports.
 
-Exit codes: 0 success, 2 usage/config error, 3 backend transport error,
-4 incomplete data. An invalid extraction is data, not a failure (exit 0).
+Exit codes: 0 success, 2 usage error or a malformed or invalid input file,
+3 backend transport error, 4 incomplete data. An invalid extraction is data,
+not a failure (exit 0).
 """
 
 from __future__ import annotations
@@ -10,13 +11,15 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import sweep as sweep_mod
-from .corpus import CorpusError, CorpusSpec, Task, default_corpus_spec, load_corpus, load_schema, make_report
+from .corpus import CorpusError, CorpusSpec, default_corpus_spec, load_corpus, load_schema, make_report
+from .inputs import check_object, dataclass_fields
 from .lm_client import LmClientError, ProtocolError, RequestTimeout, TransportError, resolve_endpoint
+from .metrics import MetricsError
 from .sweep import (
     MissingRecordsError,
     PipelineBackends,
@@ -42,21 +45,21 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+# A spec file names the task; each other CorpusSpec field it sets overrides
+# the task's default, and keys that are not spec fields are ignored.
+_SPEC_FIELDS = tuple((name, kind, name == "task") for name, kind, _ in dataclass_fields(CorpusSpec))
+
+
 def cmd_generate_corpus(args) -> int:
     try:
-        spec_obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if not isinstance(spec_obj, dict):
-            raise ValueError("the spec must be a JSON object")
-        # Fields the file sets override the task's defaults; other keys are ignored.
-        given = {f.name: spec_obj[f.name] for f in fields(CorpusSpec) if f.name in spec_obj}
-        given["task"] = Task(spec_obj["task"])
+        given = check_object(json.loads(Path(args.spec).read_text(encoding="utf-8")), _SPEC_FIELDS)
         if args.seed is not None:
             given["seed"] = args.seed
         spec = replace(default_corpus_spec(given["task"], n_reports=1000, seed=0), **given)
         reports, annotations = corpus_mod.generate_synthetic_corpus(spec)
         corpus_mod.save_corpus(args.out, reports, annotations)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        return _fail(EXIT_CONFIG, f"invalid corpus spec: {e}")
+    except (OSError, ValueError) as e:
+        return _fail(EXIT_CONFIG, f"{args.spec}: invalid corpus spec ({e})")
     counts = Counter(a.label for a in annotations)
     print(f"wrote {len(reports)} reports to {args.out}")
     for label in sorted(counts):
@@ -64,23 +67,25 @@ def cmd_generate_corpus(args) -> int:
     return EXIT_OK
 
 
+# A report given as a JSON object; make_report checks `task`, which defaults
+# to the schema's, as a Task.
+_REPORT_FIELDS = (("id", str, False), ("task", str, False), ("text", str, True))
+
+
 def _read_report(path_or_dash: str, schema) -> corpus_mod.Report:
-    text = sys.stdin.read() if path_or_dash == "-" else Path(path_or_dash).read_text(encoding="utf-8")
+    """The report a JSON object with a "text" field holds, else the whole input as text."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict) and "text" in obj:
-        for key in ("id", "text"):
-            if key in obj and not isinstance(obj[key], str):
-                raise CorpusError(f"{path_or_dash}: {key} must be a string, "
-                                  f"not {type(obj[key]).__name__}")
+        text = sys.stdin.read() if path_or_dash == "-" else Path(path_or_dash).read_text(encoding="utf-8")
         try:
-            task = Task(obj.get("task", schema.task.value))
-        except ValueError as e:
-            raise CorpusError(f"{path_or_dash}: {e}") from e
-        return make_report(obj.get("id", "stdin"), task, obj["text"])
-    return make_report("stdin", schema.task, text)
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            obj = None
+        if not (isinstance(obj, dict) and "text" in obj):
+            return make_report("stdin", schema.task, text)
+        obj = check_object(obj, _REPORT_FIELDS)
+        return make_report(obj.get("id", "stdin"), obj.get("task", schema.task), obj["text"])
+    except ValueError as e:
+        raise CorpusError(f"{path_or_dash}: {e}") from e
 
 
 def cmd_extract(args) -> int:
@@ -89,8 +94,10 @@ def cmd_extract(args) -> int:
         config = PipelineConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
         report = _read_report(args.report, schema)
         endpoint = resolve_endpoint(args.endpoint)
-    except (OSError, json.JSONDecodeError, CorpusError, SweepError, LmClientError) as e:
+    except (OSError, CorpusError, LmClientError) as e:
         return _fail(EXIT_CONFIG, str(e))
+    except ValueError as e:  # the config file is not UTF-8, JSON or a pipeline config
+        return _fail(EXIT_CONFIG, f"{args.config}: {e}")
     backends = PipelineBackends.remote(endpoint, embed_model=config.retrieval.embed_model)
     try:
         record = extract_one(report, schema, config, backends, capture_errors=False)
@@ -115,13 +122,16 @@ def _load_inputs(args):
     schema = load_schema(args.schema)
     reports, annotations = load_corpus(args.corpus)
     grid = SweepGrid.from_file(args.grid)
-    return schema, reports, annotations, grid
+    try:
+        configs = enumerate_configs(grid)  # checks each axis value as its config field
+    except SweepError as e:
+        raise SweepError(f"{args.grid}: {e}") from e
+    return schema, reports, annotations, grid, configs
 
 
 def cmd_sweep(args) -> int:
     try:
-        schema, reports, _, grid = _load_inputs(args)
-        configs = enumerate_configs(grid)
+        schema, reports, _, grid, configs = _load_inputs(args)
         if grid.sample_n is not None:
             seed = args.seed if args.seed is not None else grid.sample_seed
             reports = sample_reports(reports, grid.sample_n, seed)
@@ -148,8 +158,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        schema, reports, annotations, grid = _load_inputs(args)
-        configs = enumerate_configs(grid)
+        schema, reports, annotations, grid, configs = _load_inputs(args)
         store = ResultStore.open(args.store)
         gold = {a.report_id: a.label for a in annotations}
     except (OSError, CorpusError, SweepError, StoreCorruptError) as e:
@@ -159,7 +168,7 @@ def cmd_report(args) -> int:
                                      compare_axes=tuple(args.compare or ()))
     except MissingRecordsError as e:
         return _fail(EXIT_INCOMPLETE, str(e))
-    except SweepError as e:
+    except (SweepError, MetricsError) as e:  # MetricsError: a label outside the schema
         return _fail(EXIT_CONFIG, str(e))
 
     csv_text = result.to_csv()
@@ -183,6 +192,13 @@ def cmd_report(args) -> int:
         print(f"{config.config_hash:18s} {config.model_name:22s} "
               f"{report.accuracy:9.4f} {report.macro_f1:9.4f}")
     return EXIT_OK
+
+
+def count(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="sweep grid JSON file (names the configs)")
     p.add_argument("--csv", default=None, help="write the metric table CSV here")
     p.add_argument("--json", default=None, help="write the comparisons JSON here")
-    p.add_argument("--top", type=int, default=10, help="rows in the plain-text table")
+    p.add_argument("--top", type=count, default=10, help="rows in the plain-text table")
     p.add_argument("--compare", action="append", default=None,
                    help="binary config axis to compare (repeatable), e.g. retrieval.mode")
     p.set_defaults(func=cmd_report)

@@ -8,12 +8,13 @@ loaded at import.
 from __future__ import annotations
 
 import json
-import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+
+from .inputs import check_object, from_json
 
 
 class CorpusError(ValueError):
@@ -86,35 +87,13 @@ class LabelSchema:
 
 
 def save_schema(path, schema: LabelSchema) -> None:
-    obj = {
-        "task": schema.task.value,
-        "valid_labels": list(schema.valid_labels),
-        "nr_label": schema.nr_label,
-        "answer_key": schema.answer_key,
-        "retrieval_keywords": schema.retrieval_keywords,
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(schema), indent=2) + "\n", encoding="utf-8")
 
 
 def load_schema(path) -> LabelSchema:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise CorpusError(f"expected a JSON object, not {type(obj).__name__}")
-        labels = obj["valid_labels"]
-        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-            raise CorpusError("valid_labels must be a list of strings")
-        for key in ("nr_label", "answer_key", "retrieval_keywords"):
-            if not isinstance(obj[key], str):
-                raise CorpusError(f"{key} must be a string, not {type(obj[key]).__name__}")
-        return LabelSchema(
-            task=Task(obj["task"]),
-            valid_labels=tuple(labels),
-            nr_label=obj["nr_label"],
-            answer_key=obj["answer_key"],
-            retrieval_keywords=obj["retrieval_keywords"],
-        )
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+        return from_json(LabelSchema, json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as e:
         raise CorpusError(f"{path}: invalid schema file ({e})") from e
 
 
@@ -134,11 +113,6 @@ PATHOLOGY_DISTRIBUTION = {"positive": 0.0715, "negative": 0.7238, "NR": 0.2047}
 _DISTRIBUTION_SUM_TOL = 5e-3
 
 
-def _is_number(value, kind: type) -> bool:
-    """True for a value of the numbers ABC `kind` that is not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     task: Task
@@ -150,22 +124,12 @@ class CorpusSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("n_reports", "seed"):
-            if not _is_number(getattr(self, name), numbers.Integral):
-                raise CorpusError(f"{name} must be an integer")
-        for name in ("length_mean_words", "length_sd_words", "distractor_rate"):
-            if not _is_number(getattr(self, name), numbers.Real):
-                raise CorpusError(f"{name} must be a number")
         if self.n_reports < 1:
             raise CorpusError("n_reports must be >= 1")
         if self.length_mean_words <= 0 or self.length_sd_words <= 0:
             raise CorpusError("length parameters must be positive")
         if not 0.0 <= self.distractor_rate <= 1.0:
             raise CorpusError("distractor_rate must be in [0, 1]")
-        if not isinstance(self.class_distribution, dict):
-            raise CorpusError("class_distribution must map labels to probabilities")
-        if not all(_is_number(p, numbers.Real) for p in self.class_distribution.values()):
-            raise CorpusError("class probabilities must be numbers")
         if any(p < 0 for p in self.class_distribution.values()):
             raise CorpusError("class probabilities must be nonnegative")
         total = sum(self.class_distribution.values())
@@ -325,30 +289,24 @@ def save_corpus(path, reports: list[Report], annotations: list[GoldAnnotation]) 
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+_CORPUS_LINE_FIELDS = (("id", str, True), ("task", Task, True), ("text", str, True),
+                       ("label", str, False))
+
+
 def load_corpus(path) -> tuple[list[Report], list[GoldAnnotation]]:
     """Load a JSONL corpus; errors cite the offending 1-based line number."""
     reports: list[Report] = []
     annotations: list[GoldAnnotation] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from e
-            if not isinstance(obj, dict):
-                raise CorpusError(
-                    f"{path}: line {lineno}: expected a JSON object, not {type(obj).__name__}")
-            for key in ("id", "text", "label"):
-                if key in obj and not isinstance(obj[key], str):
-                    raise CorpusError(f"{path}: line {lineno}: {key} must be a string, "
-                                      f"not {type(obj[key]).__name__}")
-            try:
-                report = Report(id=obj["id"], task=Task(obj["task"]), text=obj["text"])
-            except (KeyError, ValueError) as e:
-                raise CorpusError(f"{path}: line {lineno}: invalid report ({e})") from e
+                obj = check_object(json.loads(line.decode("utf-8")), _CORPUS_LINE_FIELDS)
+                report = Report(id=obj["id"], task=obj["task"], text=obj["text"])
+            except ValueError as e:
+                raise CorpusError(f"{path}: line {lineno}: {e}") from e
             if report.id in seen:
                 raise CorpusError(f"{path}: line {lineno}: duplicate report id {report.id!r}")
             seen.add(report.id)

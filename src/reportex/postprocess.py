@@ -29,7 +29,7 @@ class InvalidReason(str, Enum):
 @dataclass(frozen=True)
 class ParsedLabel:
     label: str | None
-    reason: InvalidReason | None
+    reason: InvalidReason | None = None
     alt_key: str | None = None  # set when the label was recovered from a non-answer key
 
     @property
@@ -51,15 +51,6 @@ class ParsedLabel:
         if self.alt_key is not None:
             d["alt_key"] = self.alt_key
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParsedLabel":
-        reason = d.get("reason")
-        return cls(
-            label=d.get("label"),
-            reason=InvalidReason(reason) if reason is not None else None,
-            alt_key=d.get("alt_key"),
-        )
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*")

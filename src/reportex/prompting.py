@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
 
@@ -35,19 +35,7 @@ class PromptStrategy:
     json_instruction: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "style": self.style.value,
-            "few_shot": self.few_shot.value,
-            "json_instruction": self.json_instruction,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PromptStrategy":
-        return cls(
-            style=PromptStyle(d.get("style", "complex")),
-            few_shot=FewShot(d.get("few_shot", "none")),
-            json_instruction=bool(d.get("json_instruction", True)),
-        )
+        return {**asdict(self), "style": self.style.value, "few_shot": self.few_shot.value}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import operator
 import re
 import threading
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Protocol, Sequence, TypeVar
 
 from . import lm_client
@@ -251,13 +251,18 @@ class RerankScorer(Protocol):
 
 
 def rerank(query: str, candidates: list[Chunk], scorer: RerankScorer) -> list[tuple[Chunk, float]]:
-    """Score every candidate, clamp to [0, 1], sort descending, ties by input order."""
+    """Score every candidate, clamp to [0, 1], sort descending, ties by input order.
+
+    A scorer that fails or returns a non-finite score raises RerankError.
+    """
     scored = []
     for i, chunk in enumerate(candidates):
         try:
             s = float(scorer.score(query, chunk.text))
         except Exception as e:
             raise RerankError(i, str(e)) from e
+        if not math.isfinite(s):
+            raise RerankError(i, f"non-finite score {s}")
         scored.append((i, chunk, min(max(s, 0.0), 1.0)))
     scored.sort(key=lambda t: (-t[2], t[0]))
     return [(chunk, score) for _, chunk, score in scored]
@@ -343,13 +348,6 @@ class RetrievalSettings:
         if self.candidates < 1 or self.shortlist < self.candidates:
             raise ValueError("require shortlist >= candidates >= 1")
         Bm25Params(self.bm25_k1, self.bm25_b)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RetrievalSettings":
-        return cls(**d)
 
 
 @dataclass(frozen=True)

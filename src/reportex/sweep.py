@@ -7,17 +7,17 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
-from .corpus import LabelSchema, Report, _is_number
+from .corpus import LabelSchema, Report
+from .inputs import check_object, from_json
 from .lm_client import GenerationRequest, GenerationResponse, LmClientError, generate
 from .metrics import (
     MetricsError,
@@ -60,12 +60,6 @@ class MissingRecordsError(RuntimeError):
         self.missing = missing
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SweepError(f"{what} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """One point in the configuration space swept by the benchmark."""
@@ -96,27 +90,14 @@ class PipelineConfig:
             raise SweepError("top_p must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "param_count_b": self.param_count_b,
-            "quant_bits": self.quant_bits,
-            "prompt": self.prompt.to_dict(),
-            "temperature": self.temperature,
-            "top_k": self.top_k,
-            "top_p": self.top_p,
-            "json_mode": self.json_mode,
-            "retrieval": self.retrieval.to_dict(),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "prompt": self.prompt.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(_json_object(d, "pipeline config"))
+        """The config a decoded JSON object describes; every part refuses unknown keys."""
         try:
-            d["prompt"] = PromptStrategy.from_dict(_json_object(d.get("prompt", {}), "prompt"))
-            d["retrieval"] = RetrievalSettings.from_dict(d.get("retrieval", {}))
-            return cls(**d)
-        except (TypeError, ValueError) as e:
+            return from_json(cls, d, "pipeline config", closed=True)
+        except ValueError as e:
             raise SweepError(f"invalid pipeline config: {e}") from e
 
     @property
@@ -126,19 +107,6 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-# Each record field's type and whether it may be None; bool is never a number.
-_RECORD_FIELD_TYPES = (
-    ("report_id", str, False),
-    ("config_hash", str, False),
-    ("raw_output", str, False),
-    ("rag_used", bool, False),
-    ("rerank_score", numbers.Real, True),
-    ("latency_ms", numbers.Real, False),
-    ("timestamp", numbers.Real, False),
-    ("error", str, True),
-)
-
-
 @dataclass(frozen=True)
 class ExtractionRecord:
     report_id: str
@@ -146,9 +114,9 @@ class ExtractionRecord:
     raw_output: str
     parsed: ParsedLabel
     rag_used: bool
-    rerank_score: float | None
-    latency_ms: float
-    timestamp: float
+    rerank_score: float | None = None
+    latency_ms: float = 0.0
+    timestamp: float = 0.0
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -168,27 +136,17 @@ class ExtractionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExtractionRecord":
-        """The record a store line holds; TypeError for a field of the wrong type."""
-        record = cls(
-            report_id=d["report_id"],
-            config_hash=d["config_hash"],
-            raw_output=d["raw_output"],
-            parsed=ParsedLabel.from_dict(d["parsed"]),
-            rag_used=d["rag_used"],
-            rerank_score=d.get("rerank_score"),
-            latency_ms=d.get("latency_ms", 0.0),
-            timestamp=d.get("timestamp", 0.0),
-            error=d.get("error"),
-        )
-        for name, kind, nullable in _RECORD_FIELD_TYPES:
-            value = getattr(record, name)
-            if value is None and nullable:
-                continue
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                expected = "number" if kind is numbers.Real else kind.__name__
-                raise TypeError(f"{name} must be {expected}{' or null' if nullable else ''}, "
-                                f"not {value!r:.80}")
-        return record
+        """The record a store line holds; InputError for a field of the wrong type."""
+        return from_json(cls, d)
+
+
+# A grid file. `base` is checked as a pipeline config, and `axes` values as
+# the config fields they name, when the configs are built.
+_GRID_FIELDS = (
+    ("base", object, True),
+    ("axes", dict[str, list], False),
+    ("sample", (("n", int, False), ("seed", int, False)), False),
+)
 
 
 @dataclass(frozen=True)
@@ -201,21 +159,15 @@ class SweepGrid:
     @classmethod
     def from_file(cls, path) -> "SweepGrid":
         try:
-            obj = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "grid")
-            sample = _json_object(obj.get("sample", {}), "sample")
+            obj = check_object(json.loads(Path(path).read_text(encoding="utf-8")),
+                               _GRID_FIELDS, "grid")
+            sample = obj.get("sample", {})
             sample_n = sample.get("n")
-            sample_seed = sample.get("seed", 0)
-            if "n" in sample and not (_is_number(sample_n, numbers.Integral) and sample_n >= 1):
+            if sample_n is not None and sample_n < 1:
                 raise SweepError(f"sample.n must be an integer >= 1, not {sample_n!r}")
-            if not _is_number(sample_seed, numbers.Integral):
-                raise SweepError(f"sample.seed must be an integer, not {sample_seed!r}")
-            return cls(
-                base=PipelineConfig.from_dict(obj["base"]),
-                axes=dict(_json_object(obj.get("axes", {}), "axes")),
-                sample_n=sample_n,
-                sample_seed=sample_seed,
-            )
-        except (json.JSONDecodeError, KeyError, SweepError) as e:
+            return cls(PipelineConfig.from_dict(obj["base"]), obj.get("axes", {}), sample_n,
+                       sample.get("seed", 0))
+        except ValueError as e:
             raise SweepError(f"{path}: invalid grid file ({e})") from e
 
 
@@ -383,7 +335,7 @@ class ResultStore:
                 continue
             try:
                 record = ExtractionRecord.from_dict(json.loads(line.decode("utf-8")))
-            except (ValueError, KeyError, TypeError, AttributeError) as e:
+            except ValueError as e:
                 raise StoreCorruptError(f"{p}: line {lineno}: unreadable record ({e})") from e
             pair = (record.report_id, record.config_hash)
             if pair in store._pairs:

@@ -1,4 +1,8 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import settings
 
 from reportex.corpus import (
     PATHOLOGY_SCHEMA,
@@ -7,6 +11,15 @@ from reportex.corpus import (
     default_corpus_spec,
     generate_synthetic_corpus,
 )
+
+# Every @given test draws the same examples on every run and keeps no example
+# database. No deadline: some properties do file I/O in each example.
+settings.register_profile("reportex", derandomize=True, deadline=None, database=None)
+settings.load_profile("reportex")
+# Hypothesis also caches what it reads from the source under .hypothesis/;
+# keep that in a directory removed when the run ends.
+_HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,16 @@ class TestGenerateCorpus:
                      str(tmp_path / "x.jsonl")]) == 2
         assert "invalid corpus spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["length_mean_words", "length_sd_words"])
+    @pytest.mark.parametrize("value, shown", [
+        (float("inf"), "Infinity"), (float("nan"), "NaN"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, field, value, shown):
+        spec = self._spec_file(tmp_path, **{field: value})
+        assert main(["generate-corpus", "--spec", str(spec), "--out",
+                     str(tmp_path / "x.jsonl")]) == 2
+        assert f"{field} must be a number, not {shown}" in capsys.readouterr().err
+
     def test_seed_repetition_identical_files(self, tmp_path):
         spec = self._spec_file(tmp_path)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -324,13 +334,59 @@ class TestSweepAndReport:
         assert f"{part} must be a JSON object, not list" in capsys.readouterr().err
         assert not store.exists()
 
+    @pytest.mark.parametrize("part, message", [
+        ({"model_name": 5}, "model_name must be a string, not int"),
+        ({"seed": "x"}, "seed must be an integer, not str"),
+        ({"json_mode": "no"}, "json_mode must be true or false, not str"),
+        ({"quant_bits": 4.5}, "quant_bits must be an integer, not float"),
+        ({"top_k": 2.5}, "top_k must be an integer, not float"),
+        ({"temperature": float("nan")}, "temperature must be a number, not NaN"),
+        ({"prompt": {"json_instruction": "false"}},
+         "prompt.json_instruction must be true or false, not str"),
+        ({"prompt": {"stlye": "simple"}}, "prompt must have only the fields style, few_shot, "
+                                          "json_instruction, not 'stlye'"),
+        ({"prompt": {"style": "fancy"}},
+         "prompt.style must be one of 'simple', 'complex', not 'fancy'"),
+        ({"retrieval": {"candidates": True}}, "retrieval.candidates must be an integer, not bool"),
+        ({"retrieval": {"mode": "hybrid", "chunk_size": 70.5}},
+         "retrieval.chunk_size must be an integer, not float"),
+        ({"modle_name": "m"}, "pipeline config must have only the fields model_name, "),
+    ], ids=["model_name", "seed", "json_mode", "quant_bits", "top_k", "temperature",
+            "json_instruction", "prompt-typo", "style", "candidates", "chunk_size", "typo"])
+    def test_config_field_of_wrong_type_exit_2(self, corpus_files, tmp_path, capsys, part,
+                                               message):
+        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        base = grid_obj["base"]
+        for key, value in part.items():
+            base[key] = {**base[key], **value} if isinstance(value, dict) else value
+        grid = tmp_path / "typed_grid.json"
+        grid.write_text(json.dumps(grid_obj))
+        store = tmp_path / "typed.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"]]) == 2
+        assert message in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_axis_value_of_wrong_type_exit_2(self, corpus_files, tmp_path, capsys):
+        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj["axes"] = {"retrieval.chunk_size": [70, 70.5]}
+        grid = tmp_path / "axis_grid.json"
+        grid.write_text(json.dumps(grid_obj))
+        store = tmp_path / "axis.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"]]) == 2
+        assert "retrieval.chunk_size must be an integer, not float" in capsys.readouterr().err
+        assert not store.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "report"])
     @pytest.mark.parametrize("sample, message", [
-        ({"n": "3"}, "sample.n must be an integer >= 1, not '3'"),
+        ({"n": "3"}, "sample.n must be an integer, not str"),
         ({"n": -1}, "sample.n must be an integer >= 1, not -1"),
-        ({"n": True}, "sample.n must be an integer >= 1, not True"),
-        ({"n": 2, "seed": "x"}, "sample.seed must be an integer, not 'x'"),
-        ({"n": 2, "seed": False}, "sample.seed must be an integer, not False"),
+        ({"n": True}, "sample.n must be an integer, not bool"),
+        ({"n": 2, "seed": "x"}, "sample.seed must be an integer, not str"),
+        ({"n": 2, "seed": False}, "sample.seed must be an integer, not bool"),
     ], ids=["n-string", "n-negative", "n-bool", "seed-string", "seed-bool"])
     def test_bad_sample_exit_2(self, corpus_files, tmp_path, capsys, command, sample, message):
         grid = tmp_path / "sample_grid.json"
@@ -356,6 +412,14 @@ class TestSweepAndReport:
         code = main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
                      "--schema", corpus_files["schema"], "--grid", corpus_files["grid"]])
         assert code == 4
+
+    def test_negative_top_exit_2(self, corpus_files, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--store", str(tmp_path / "s.jsonl"), "--corpus",
+                  corpus_files["corpus"], "--schema", corpus_files["schema"],
+                  "--grid", corpus_files["grid"], "--top", "-1"])
+        assert exc.value.code == 2
+        assert "--top: must be >= 0, not -1" in capsys.readouterr().err
 
     def test_report_sort_order(self, corpus_files, tmp_path, capsys):
         # a noisy backend gives each model a different accuracy (per-model rng
@@ -435,7 +499,33 @@ class TestMalformedInputFiles:
                 "rag_used": "yes", "rerank_score": None, "latency_ms": 1.0, "timestamp": 0.0}
         (tmp_path / "malformed.jsonl").write_text(json.dumps(line) + "\n")
         assert self._run(corpus_files, tmp_path, command) == 2
-        assert "line 1: unreadable record (report_id must be str" in capsys.readouterr().err
+        assert "line 1: unreadable record (report_id must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("parsed, message", [
+        ({"label": 5}, "parsed.label must be a string or null, not int"),
+        ({"label": ["x"]}, "parsed.label must be a string or null, not list"),
+        ({"label": None, "alt_key": 1}, "parsed.alt_key must be a string or null, not int"),
+        ({"label": None, "reason": 5}, "parsed.reason must be one of 'no_json'"),
+    ], ids=["label-number", "label-list", "alt_key", "reason"])
+    def test_stored_parsed_field_of_wrong_type_exit_2(self, corpus_files, tmp_path, capsys,
+                                                      command, parsed, message):
+        line = {"report_id": "r", "config_hash": "c", "raw_output": "", "parsed": parsed,
+                "rag_used": False}
+        (tmp_path / "malformed.jsonl").write_text(json.dumps(line) + "\n")
+        assert self._run(corpus_files, tmp_path, command) == 2
+        assert f"line 1: unreadable record ({message}" in capsys.readouterr().err
+
+    def test_stored_label_outside_schema_exit_2(self, corpus_files, tmp_path, capsys):
+        store = tmp_path / "malformed.jsonl"
+        assert self._run(corpus_files, tmp_path, "sweep") == 0
+        lines = store.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["parsed"] = {"label": "bogus"}
+        store.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert self._run(corpus_files, tmp_path, "report") == 2
+        assert "predicted label 'bogus' not in schema" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
     @pytest.mark.parametrize("schema_obj, message", [

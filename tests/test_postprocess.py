@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reportex.inputs import from_json
 from reportex.postprocess import (
     InvalidReason,
     ParsedLabel,
@@ -109,7 +110,7 @@ class TestParseLabel:
     def test_roundtrip_dict(self, radiology_schema):
         for parsed in [ParsedLabel.valid("2a"), ParsedLabel.invalid(InvalidReason.NO_JSON),
                        ParsedLabel.valid("4", alt_key="result")]:
-            assert ParsedLabel.from_dict(parsed.to_dict()) == parsed
+            assert from_json(ParsedLabel, parsed.to_dict()) == parsed
 
 
 class TestRecovery:

@@ -404,6 +404,13 @@ class TestRerank:
             rerank("q", _chunks(["ok", "bad"]), Boom())
         assert exc.value.candidate_index == 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_is_a_scorer_failure(self, bad):
+        # min(max(nan, 0.0), 1.0) is nan: a clamp alone would keep it
+        with pytest.raises(RerankError, match="non-finite score") as exc:
+            rerank("q", _chunks(["ok", "bad"]), _FixedScorer(bad))
+        assert exc.value.candidate_index == 0
+
 
 class _FixedScorer:
     def __init__(self, score):

@@ -893,6 +893,11 @@ class _FailingReranker:
         raise RuntimeError("scorer crashed")
 
 
+class _NanReranker:
+    def score(self, query, passage):
+        return float("nan")
+
+
 class _ScaledEmbedder:
     """Rows twice as long as unit length: a matrix VectorIndex refuses."""
 
@@ -929,6 +934,15 @@ class TestPairExceptions:
         gold = {a.report_id: a.label for a in annotations}
         store = self._sweep(tmp_path, reports, oracle_backends, reranker=_FailingReranker())
         self._assert_rag_pairs_errored(store, gold, "RerankError")
+
+    def test_nan_rerank_score_is_stored_as_an_error(self, tmp_path, radiology_corpus,
+                                                     oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        store = self._sweep(tmp_path, reports, oracle_backends, reranker=_NanReranker())
+        self._assert_rag_pairs_errored(store, gold, "RerankError")
+        assert "NaN" not in (tmp_path / "s.jsonl").read_text()
+        assert ResultStore.open(tmp_path / "s.jsonl").records == store.records
 
     def test_bad_embedding_matrix_is_stored_by_class(self, tmp_path, radiology_corpus,
                                                       oracle_backends):
