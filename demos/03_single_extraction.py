@@ -5,7 +5,7 @@ postprocessing of raw completions back to validated labels."""
 from reportex.corpus import RADIOLOGY_SCHEMA, Task, default_corpus_spec, generate_synthetic_corpus
 from reportex.mock_server import MockLmServer, MockMode, MockModel
 from reportex.postprocess import parse_label
-from reportex.prompting import FewShot, PromptStrategy, PromptStyle, build_prompt, default_exemplars
+from reportex.prompting import FewShot, PromptStrategy, PromptStyle, build_prompt
 from reportex.retrieval import MockHashEmbedder, RetrievalSettings, TokenOverlapReranker, select_context
 from reportex.sweep import PipelineBackends, PipelineConfig, extract_one
 
@@ -22,7 +22,7 @@ config = PipelineConfig(
 
 ctx = select_context(report, RADIOLOGY_SCHEMA, config.retrieval,
                      MockHashEmbedder(), TokenOverlapReranker())
-prompt = build_prompt(ctx, RADIOLOGY_SCHEMA, config.prompt, default_exemplars(RADIOLOGY_SCHEMA))
+prompt = build_prompt(ctx, RADIOLOGY_SCHEMA, config.prompt)
 print("=== rendered prompt (truncated) ===")
 print(prompt[:600] + " ...\n")
 

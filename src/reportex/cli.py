@@ -1,8 +1,9 @@
 """Command-line entry point: corpus generation, single extraction, sweeps, reports.
 
 Exit codes: 0 success, 2 usage error or a malformed or invalid input file,
-3 backend transport error, 4 incomplete data. An invalid extraction is data,
-not a failure (exit 0).
+3 backend error, 4 incomplete data. An invalid extraction is data, not a
+failure (exit 0); `extract` exits 3 when the pair failed, that is when its
+record carries an error.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from . import corpus as corpus_mod
 from . import sweep as sweep_mod
 from .corpus import CorpusError, CorpusSpec, default_corpus_spec, load_corpus, load_schema, make_report
 from .inputs import check_object, dataclass_fields
-from .lm_client import LmClientError, ProtocolError, RequestTimeout, TransportError, resolve_endpoint
+from .lm_client import LmClientError, resolve_endpoint
 from .metrics import MetricsError
+from .prompting import PromptError, check_strategies
 from .sweep import (
     MissingRecordsError,
     PipelineBackends,
@@ -94,17 +96,15 @@ def cmd_extract(args) -> int:
         config = PipelineConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
         report = _read_report(args.report, schema)
         endpoint = resolve_endpoint(args.endpoint)
-    except (OSError, CorpusError, LmClientError) as e:
+        check_strategies(schema, [config.prompt])
+    except (OSError, CorpusError, LmClientError, PromptError) as e:
         return _fail(EXIT_CONFIG, str(e))
     except ValueError as e:  # the config file is not UTF-8, JSON or a pipeline config
         return _fail(EXIT_CONFIG, f"{args.config}: {e}")
     backends = PipelineBackends.remote(endpoint, embed_model=config.retrieval.embed_model)
-    try:
-        record = extract_one(report, schema, config, backends, capture_errors=False)
-    except (TransportError, RequestTimeout) as e:
-        return _fail(EXIT_BACKEND, f"backend unreachable: {e}")
-    except ProtocolError as e:
-        return _fail(EXIT_BACKEND, f"backend protocol error: {e}")
+    record = extract_one(report, schema, config, backends)
+    if record.error is not None:  # a server's error body may span lines
+        return _fail(EXIT_BACKEND, " ".join(record.error.splitlines()))
     out = {
         "report_id": record.report_id,
         "label": record.parsed.label if record.parsed.is_valid else "INVALID",
@@ -150,7 +150,7 @@ def cmd_sweep(args) -> int:
         store = run_sweep(reports, configs, endpoint, args.store, schema,
                           parallelism=args.parallelism, no_timestamps=args.no_timestamps,
                           progress=progress)
-    except (StoreCorruptError, SweepError) as e:
+    except (StoreCorruptError, SweepError, PromptError) as e:
         return _fail(EXIT_CONFIG, str(e))
     print(f"store complete: {len(store)} records")
     return EXIT_OK

@@ -1,6 +1,7 @@
 """The one check for every decoded JSON input, against a field table of
 (name, type, required) rows or a dataclass's fields. bool is never a number,
-an int passes as a float, NaN and ±Infinity are refused, and numbers pass
+an int passes as a float, NaN and ±Infinity are refused, a string holding a
+lone surrogate (which UTF-8 cannot encode) is refused, and numbers pass
 through unconverted. A mismatch raises InputError worded
 `<key.path> must be <expected>, not <actual type>`.
 """
@@ -10,12 +11,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import types
 import typing
 from enum import EnumMeta
 from functools import cache
 
 Field = tuple[str, object, bool]  # name, type, required; the type may be a nested table
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class InputError(ValueError):
@@ -85,6 +89,8 @@ def _fits(value, kind) -> bool:
     if kind is int or kind is float:
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         return number and (isinstance(value, int) or kind is float and math.isfinite(value))
+    if kind is str:
+        return isinstance(value, str) and not _SURROGATE.search(value)
     return kind is object or (kind in _NAMES and isinstance(value, kind))
 
 
@@ -111,6 +117,8 @@ def _mismatch(path: str, kind, value) -> InputError:
         actual = json.dumps(value)  # NaN, Infinity or -Infinity
     elif isinstance(value, str) and expected.startswith("one of"):
         actual = repr(value)  # a string outside an Enum
+    elif isinstance(value, str) and _SURROGATE.search(value):
+        actual = "a string holding a lone surrogate"
     elif isinstance(value, list) and typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         actual = "a list holding " + next(type(v).__name__ for v in value if not _fits(v, item))

@@ -44,6 +44,8 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .inputs import InputError, check_object
+
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_RETRIES = 3
 DEFAULT_RETRY_BASE = 0.5  # seconds; doubles per retry
@@ -190,6 +192,18 @@ def _post(url: str, body: bytes) -> tuple[int, str]:
         raise
 
 
+def _reply(data, table) -> dict:
+    """The checked fields of a decoded reply body; ProtocolError if they do not fit `table`."""
+    try:
+        return check_object(data, table, "reply body")
+    except InputError as e:
+        raise ProtocolError(200, str(e)) from e
+
+
+_GENERATE_REPLY = (("response", str, True), ("model", str, False))
+_EMBED_REPLY = (("embedding", list, True),)
+
+
 def _post_with_retries(url: str, payload: dict) -> dict:
     body = json.dumps(payload).encode("utf-8")
     last_error: LmClientError | None = None
@@ -219,10 +233,8 @@ def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
     """One non-streaming generation call; transient transport failures are retried."""
     url = resolve_endpoint(endpoint) + "/api/generate"
     start = time.perf_counter()
-    data = _post_with_retries(url, request.to_payload())
+    data = _reply(_post_with_retries(url, request.to_payload()), _GENERATE_REPLY)
     latency_ms = (time.perf_counter() - start) * 1000.0
-    if "response" not in data:
-        raise ProtocolError(200, "missing 'response' field")
     return GenerationResponse(
         raw_text=data["response"],
         latency_ms=latency_ms,
@@ -239,11 +251,9 @@ def _shared_embed_pool() -> ThreadPoolExecutor:
         return _embed_pool
 
 
-def _embedding_row(data: dict) -> list[float]:
-    if "embedding" not in data:
-        raise ProtocolError(200, "missing 'embedding' field")
-    row = data["embedding"]
-    if not isinstance(row, list) or not row or any(isinstance(x, list) for x in row):
+def _embedding_row(data) -> list[float]:
+    row = _reply(data, _EMBED_REPLY)["embedding"]
+    if not row or any(isinstance(x, list) for x in row):
         raise ProtocolError(200, f"embedding must be a nonempty flat number array: {str(row)[:80]}")
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
         raise ProtocolError(200, f"non-numeric embedding: {str(row)[:80]}")

@@ -78,15 +78,6 @@ class MetricsReport:
     per_class: dict[str, PerClassMetrics]
     n: int
 
-    def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in TABLE_COLUMNS}
-        d["n"] = self.n
-        d["per_class"] = {
-            c: {"precision": m.precision, "recall": m.recall, "f1": m.f1, "support": m.support}
-            for c, m in self.per_class.items()
-        }
-        return d
-
     def csv_row(self) -> list[float]:
         """Metric values in the result-table column order."""
         return [getattr(self, name) for name in TABLE_COLUMNS]

@@ -10,8 +10,8 @@ text. Unknown prompts get a garbage-mode response.
 
 The constant prompt text must never vote, so every window of it is removed
 from both indexes. That text is taken from `prompting.build_prompt` itself:
-its renders of all twelve strategies with the built-in exemplars and an empty
-context. Only `prompting` knows the prompt wording.
+its renders of all twelve strategies for an empty context. Only `prompting`
+knows the prompt wording and the exemplars.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from importlib import resources
 from typing import Iterator
 
 from .corpus import LabelSchema, Report, answer_sentence
-from .prompting import FewShot, PromptStrategy, PromptStyle, build_prompt, default_exemplars
+from .prompting import FewShot, PromptStrategy, PromptStyle, build_prompt
 from .retrieval import MockHashEmbedder, RetrievedContext
 
 _SHINGLE = 16
@@ -69,9 +69,7 @@ def _vote(index: dict[bytes, str | None], prompt: str) -> str | None:
 def _static_prompt_text(schema: LabelSchema) -> list[str]:
     """Every strategy's prompt for an empty context: the text all prompts share."""
     empty = RetrievedContext("", False, None, ())
-    exemplars = default_exemplars(schema)
-    return [build_prompt(empty, schema, PromptStrategy(style, few_shot, json_instruction),
-                         exemplars)
+    return [build_prompt(empty, schema, PromptStrategy(style, few_shot, json_instruction))
             for style in PromptStyle for few_shot in FewShot for json_instruction in (False, True)]
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass
@@ -90,9 +89,13 @@ def default_exemplars(schema: LabelSchema) -> tuple[FewShotExemplar, ...]:
     exemplars = _EXEMPLARS[schema.task]
     for e in exemplars:
         if e.answer not in schema.valid_labels:
-            raise PromptError(f"built-in exemplar answer {e.answer!r} not in schema")
+            raise PromptError(f"schema has no label {e.answer!r}, which a built-in "
+                              f"{schema.task.value} few-shot exemplar answers")
     return exemplars
 
+
+_TEMPLATES = {style: resources.files("reportex.templates").joinpath(f"{style.value}.txt")
+              .read_text("utf-8") for style in PromptStyle}
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
@@ -107,44 +110,6 @@ def _render(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(sub, template)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class PromptTemplates:
-    """Versioned template pair; hashes let sweeps cite the exact wording used."""
-
-    simple: str
-    complex: str
-
-    @property
-    def simple_hash(self) -> str:
-        return _sha256(self.simple)
-
-    @property
-    def complex_hash(self) -> str:
-        return _sha256(self.complex)
-
-    @classmethod
-    def default(cls) -> "PromptTemplates":
-        pkg = resources.files("reportex.templates")
-        return cls(
-            simple=pkg.joinpath("simple.txt").read_text("utf-8"),
-            complex=pkg.joinpath("complex.txt").read_text("utf-8"),
-        )
-
-
-_DEFAULT_TEMPLATES: PromptTemplates | None = None
-
-
-def _default_templates() -> PromptTemplates:
-    global _DEFAULT_TEMPLATES
-    if _DEFAULT_TEMPLATES is None:
-        _DEFAULT_TEMPLATES = PromptTemplates.default()
-    return _DEFAULT_TEMPLATES
-
-
 def _exemplar_block(exemplars: list[FewShotExemplar], schema: LabelSchema,
                     json_instruction: bool) -> str:
     parts = []
@@ -154,23 +119,17 @@ def _exemplar_block(exemplars: list[FewShotExemplar], schema: LabelSchema,
     return "".join(parts)
 
 
-def build_prompt(context: RetrievedContext, schema: LabelSchema, strategy: PromptStrategy,
-                 exemplars: tuple[FewShotExemplar, ...] = (),
-                 templates: PromptTemplates | None = None) -> str:
+def build_prompt(context: RetrievedContext, schema: LabelSchema, strategy: PromptStrategy) -> str:
     """Render the prompt for one context. Pure and deterministic.
 
-    Few-shot exemplars appear before the target report, positives first and
-    negatives (not-reported) last. With json_instruction an output-format
-    instruction is appended.
+    Few-shot strategies put the built-in exemplars of the schema's task before
+    the target report, positives first and the not-reported one last. With
+    json_instruction an output-format instruction is appended.
     """
-    templates = templates or _default_templates()
-    for e in exemplars:
-        if e.answer not in schema.valid_labels:
-            raise PromptError(f"exemplar answer {e.answer!r} not in schema")
-
     if strategy.few_shot is FewShot.NONE:
         chosen: list[FewShotExemplar] = []
     else:
+        exemplars = default_exemplars(schema)
         positives = [e for e in exemplars if e.answer != schema.nr_label]
         negatives = [e for e in exemplars if e.answer == schema.nr_label]
         if strategy.few_shot is FewShot.POSITIVE:
@@ -188,11 +147,17 @@ def build_prompt(context: RetrievedContext, schema: LabelSchema, strategy: Promp
         "context": context.selected_text,
         "exemplars": _exemplar_block(chosen, schema, strategy.json_instruction),
     }
-    template = templates.simple if strategy.style is PromptStyle.SIMPLE else templates.complex
-    prompt = _render(template, values)
+    prompt = _render(_TEMPLATES[strategy.style], values)
     if strategy.json_instruction:
         prompt += (
             f'\nReply with exactly one JSON object of the form '
             f'{{"{schema.answer_key}": "<answer>"}} and no other text.\n'
         )
     return prompt
+
+
+def check_strategies(schema: LabelSchema, strategies) -> None:
+    """Raise PromptError if build_prompt cannot render one of `strategies` for `schema`."""
+    empty = RetrievedContext("", False, None, ())
+    for strategy in set(strategies):
+        build_prompt(empty, schema, strategy)

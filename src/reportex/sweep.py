@@ -30,7 +30,7 @@ from .metrics import (
     spearman,
 )
 from .postprocess import InvalidReason, ParsedLabel, parse_label
-from .prompting import PromptStrategy, build_prompt, default_exemplars, FewShot
+from .prompting import PromptStrategy, build_prompt, check_strategies
 from .retrieval import (
     Embedder,
     RemoteEmbedder,
@@ -53,10 +53,14 @@ class StoreCorruptError(RuntimeError):
 
 
 class MissingRecordsError(RuntimeError):
+    """The store lacks the listed pairs; none listed when it holds no record
+    for any requested config."""
+
     def __init__(self, missing: list[tuple[str, str]]):
         shown = ", ".join(f"({r}, {c})" for r, c in missing[:10])
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
-        super().__init__(f"store is missing {len(missing)} (report, config) pairs: {shown}{more}")
+        super().__init__(f"store is missing {len(missing)} (report, config) pairs: {shown}{more}"
+                         if missing else "store holds no record for any requested config")
         self.missing = missing
 
 
@@ -240,8 +244,8 @@ class PipelineBackends:
 
 
 def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
-                backends: PipelineBackends, capture_errors: bool = True,
-                no_timestamps: bool = False, memo: SingleFlightMemo | None = None,
+                backends: PipelineBackends, no_timestamps: bool = False,
+                memo: SingleFlightMemo | None = None,
                 config_hash: str | None = None) -> ExtractionRecord:
     """Run one report through select-context -> prompt -> generate -> parse.
 
@@ -250,9 +254,9 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
     request, keyed by a digest of its wire payload (model, prompt, options and
     per-record seed). A pair whose request another pair already sent gets
     that response, and its record carries that call's `latency_ms`.
-    `config_hash`, when given, is config.config_hash. With `capture_errors`, a
-    backend failure, a reranker failure or embeddings unfit for the index
-    become an error record named by exception class.
+    `config_hash`, when given, is config.config_hash. A backend failure, a
+    reranker failure or embeddings unfit for the index make the pair a failed
+    one: an error record whose `error` names the exception class.
     """
     if config_hash is None:
         config_hash = config.config_hash
@@ -261,8 +265,7 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
     try:
         context = memo.get(("context", report.id, config.retrieval), lambda: select_context(
             report, schema, config.retrieval, backends.embedder, backends.reranker, memo))
-        exemplars = default_exemplars(schema) if config.prompt.few_shot is not FewShot.NONE else ()
-        prompt = build_prompt(context, schema, config.prompt, exemplars)
+        prompt = build_prompt(context, schema, config.prompt)
         request = GenerationRequest(
             model=config.model_name,
             prompt=prompt,
@@ -288,8 +291,6 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
             timestamp=0.0 if no_timestamps else time.time(),
         )
     except (LmClientError, RerankError, VectorIndexError) as e:
-        if not capture_errors:
-            raise
         return ExtractionRecord(
             report_id=report.id,
             config_hash=config_hash,
@@ -374,10 +375,12 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
               progress: Callable[[int, int], None] | None = None) -> ResultStore:
     """Run every (report, config) pair not already in the store.
 
-    Workers run extractions concurrently (bounded pool); only this thread
-    appends to the store, one durable record per completed pair. Backend
-    failures become invalid records; any exception that stops the sweep cancels
-    the queued pairs. Interrupted sweeps resume by skipping completed pairs.
+    A config whose prompt strategy the schema cannot render raises PromptError
+    before any pair runs. Workers run extractions concurrently (bounded pool);
+    only this thread appends to the store, one durable record per completed
+    pair. Backend failures become invalid records; any exception that stops
+    the sweep cancels the queued pairs. Interrupted sweeps resume by skipping
+    completed pairs.
 
     Each distinct generation request is sent once per call and its response
     shared by every pair that sends the same bytes, such as retrieval modes
@@ -389,6 +392,7 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     """
     if parallelism < 1:
         raise SweepError("parallelism must be >= 1")
+    check_strategies(schema, [c.prompt for c in configs])
     store = ResultStore.open(store_path)
     if backends is None:
         embed_models = {c.retrieval.embed_model for c in configs}
@@ -408,7 +412,7 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         futures = [
             pool.submit(extract_one, report, schema, config, backends,
-                        True, no_timestamps, memo, config_hash)
+                        no_timestamps, memo, config_hash)
             for report, config, config_hash in pending
         ]
         # Consume in submission order: the store stays deterministic under a
@@ -559,40 +563,36 @@ def _correlation(xs: list[float], ys: list[float]) -> dict | str:
 
 
 def aggregate(store: ResultStore, gold: dict[str, str], schema: LabelSchema,
-              configs: list[PipelineConfig], compare_axes: tuple[str, ...] = (),
-              expected_report_ids: list[str] | None = None) -> AggregateResult:
+              configs: list[PipelineConfig], compare_axes: tuple[str, ...] = ()) -> AggregateResult:
     """Per-config metrics plus axis comparisons and size/quantization correlations.
 
-    Raises MissingRecordsError when the store lacks any (report, config) pair
-    for the requested configs.
+    Every report id the store holds for any of the configs is expected for all
+    of them. Raises MissingRecordsError when the store lacks any such pair, or
+    holds no record for any of the configs.
     """
     by_config: dict[str, dict[str, ExtractionRecord]] = {}
     for record in store.records:
         by_config.setdefault(record.config_hash, {})[record.report_id] = record
 
     config_by_hash = {c.config_hash: c for c in configs}
-    if expected_report_ids is None:
-        seen: set[str] = set()
-        for h in config_by_hash:
-            seen.update(by_config.get(h, {}))
-        expected_report_ids = sorted(seen)
+    report_ids = sorted({rid for h in config_by_hash for rid in by_config.get(h, {})})
     missing = [
         (rid, h)
         for h in config_by_hash
-        for rid in expected_report_ids
+        for rid in report_ids
         if rid not in by_config.get(h, {})
     ]
-    if missing:
+    if missing or not report_ids:
         raise MissingRecordsError(missing)
-    absent_gold = [rid for rid in expected_report_ids if rid not in gold]
+    absent_gold = [rid for rid in report_ids if rid not in gold]
     if absent_gold:
         raise SweepError(f"no gold label for report ids: {absent_gold[:5]}")
 
     rows: list[tuple[PipelineConfig, MetricsReport]] = []
     for h, config in config_by_hash.items():
         records = by_config[h]
-        preds = [records[rid].parsed for rid in expected_report_ids]
-        golds = [gold[rid] for rid in expected_report_ids]
+        preds = [records[rid].parsed for rid in report_ids]
+        golds = [gold[rid] for rid in report_ids]
         rows.append((config, compute_metrics(confusion(preds, golds, schema))))
     rows.sort(key=lambda cr: (-cr[1].accuracy, -cr[1].macro_f1, cr[0].config_hash))
 

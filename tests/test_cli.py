@@ -1,5 +1,7 @@
 import json
+import threading
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -7,6 +9,7 @@ from reportex import corpus as corpus_mod
 from reportex.cli import main
 from reportex.corpus import (
     RADIOLOGY_SCHEMA,
+    LabelSchema,
     Task,
     default_corpus_spec,
     generate_synthetic_corpus,
@@ -15,6 +18,8 @@ from reportex.corpus import (
     save_schema,
 )
 from reportex.mock_server import MockLmServer, MockMode, MockModel
+from reportex.prompting import FewShot, PromptStrategy
+from reportex.retrieval import RetrievalSettings
 from reportex.sweep import PipelineConfig
 
 
@@ -49,6 +54,43 @@ def corpus_files(tmp_path_factory):
         "endpoint": server.endpoint,
     }
     server.stop()
+
+
+class _MultiLineErrorHandler(BaseHTTPRequestHandler):
+    """Answers every request with status 500 and a body of three lines."""
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = b"<html>\nInternal Server Error\n</html>"
+        self.send_response(500)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _ZeroVectorModel(MockModel):
+    """Mock whose every embedding is an all-zero row."""
+
+    def embeddings(self, payload):
+        return {"embedding": [0.0] * 8}
+
+
+def _few_shot_files(root):
+    """A schema without the labels of the built-in radiology exemplars, and a
+    config and a grid that ask for positive few-shot prompts."""
+    schema = root / "low_high_schema.json"
+    save_schema(schema, LabelSchema(Task.RADIOLOGY, ("low", "high", "NR"), "NR", "score",
+                                    RADIOLOGY_SCHEMA.retrieval_keywords))
+    config = PipelineConfig(model_name="mock-7b", prompt=PromptStrategy(few_shot=FewShot.POSITIVE))
+    config_path = root / "few_shot_config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    grid = root / "few_shot_grid.json"
+    grid.write_text(json.dumps({"base": config.to_dict(), "axes": {"prompt.few_shot": [
+        "none", "positive"]}}))
+    return schema, config_path, grid
 
 
 def _endpoint_args(command, corpus_files):
@@ -242,6 +284,45 @@ class TestExtract:
                      "--schema", str(schema), "--endpoint", "http://127.0.0.1:9"]) == 2
         assert f"{key} must be a string, not {type(value).__name__}" in capsys.readouterr().err
 
+    def test_embeddings_unfit_for_the_index_exit_3(self, corpus_files, tmp_path, capsys):
+        path, _ = self._report_file(corpus_files, "2")
+        config = tmp_path / "dense_config.json"
+        config.write_text(json.dumps(PipelineConfig(
+            model_name="mock-7b", retrieval=RetrievalSettings(mode="dense")).to_dict()))
+        with MockLmServer(_ZeroVectorModel(MockMode.ORACLE, corpus_files["gold"],
+                                           RADIOLOGY_SCHEMA)) as server:
+            assert main(["extract", str(path), "--config", str(config),
+                         "--schema", corpus_files["schema"], "--endpoint", server.endpoint]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: VectorIndexError: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_server_error_body_on_one_line_exit_3(self, corpus_files, capsys):
+        path, _ = self._report_file(corpus_files, "2")
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _MultiLineErrorHandler)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        try:
+            host, port = httpd.server_address[:2]
+            assert main(["extract", str(path), "--config", corpus_files["config"],
+                         "--schema", corpus_files["schema"],
+                         "--endpoint", f"http://{host}:{port}"]) == 3
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert capsys.readouterr().err == (
+            "error: ProtocolError: server returned status 500: "
+            "<html> Internal Server Error </html>\n")
+
+    def test_schema_without_exemplar_labels_exit_2(self, corpus_files, tmp_path, capsys):
+        path, _ = self._report_file(corpus_files, "2")
+        schema, config, _ = _few_shot_files(tmp_path)
+        # a closed port: exit 3 would mean the backend was called
+        assert main(["extract", str(path), "--config", str(config), "--schema", str(schema),
+                     "--endpoint", "http://127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert "schema has no label '2'" in err and len(err.splitlines()) == 1
+
     def test_backend_unreachable_exit_3(self, corpus_files, monkeypatch):
         monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRY_BASE", 0.001)
         path, _ = self._report_file(corpus_files, "2")
@@ -413,6 +494,25 @@ class TestSweepAndReport:
                      "--schema", corpus_files["schema"], "--grid", corpus_files["grid"]])
         assert code == 4
 
+    @pytest.mark.parametrize("content", [None, ""], ids=["missing", "empty"])
+    def test_store_without_records_exit_4(self, corpus_files, tmp_path, capsys, content):
+        store = tmp_path / "none.jsonl"
+        if content is not None:
+            store.write_text(content)
+        assert main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--grid", corpus_files["grid"]]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: store holds no record for any requested config\n"
+
+    def test_schema_without_exemplar_labels_exit_2(self, corpus_files, tmp_path, capsys):
+        schema, _, grid = _few_shot_files(tmp_path)
+        store = tmp_path / "few_shot.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", str(schema), "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"]]) == 2
+        assert "error: schema has no label '2'" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_negative_top_exit_2(self, corpus_files, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--store", str(tmp_path / "s.jsonl"), "--corpus",
@@ -462,7 +562,9 @@ class TestMalformedInputFiles:
         ({"id": 7, "task": "radiology", "text": "x"}, "line 2: id must be a string, not int"),
         ({"id": "r", "task": "radiology", "text": "x", "label": 2},
          "line 2: label must be a string, not int"),
-    ], ids=["list", "text", "id", "label"])
+        ({"id": "a\ud800", "task": "radiology", "text": "x"},
+         "line 2: id must be a string, not a string holding a lone surrogate"),
+    ], ids=["list", "text", "id", "label", "surrogate"])
     def test_corpus_line_of_wrong_shape_exit_2(self, corpus_files, tmp_path, capsys, command,
                                                bad_line, message):
         first = open(corpus_files["corpus"]).readline()

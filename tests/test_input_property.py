@@ -3,10 +3,11 @@
 
 Each input kind (corpus spec, pipeline config, grid, schema, corpus line,
 report JSON, store line) is fed arbitrary bytes, arbitrary JSON, and a valid
-object with one key path replaced by an arbitrary JSON value, NaN and
-±Infinity included. Only the last gets past the top-level shape check to the
-field checks. Drawn numbers stay small: a well-typed spec asking for a huge
-corpus is a valid request, not a malformed input.
+object with one key path replaced by an arbitrary JSON value, NaN, ±Infinity
+and strings of lone surrogates included. Only the last gets past the
+top-level shape check to the field checks. Drawn numbers stay small: a
+well-typed spec asking for a huge corpus is a valid request, not a malformed
+input.
 
 The backend is a closed port and retries are off, so a valid sweep fails
 fast on every pair.
@@ -93,12 +94,13 @@ def _key_paths(obj, prefix=()):
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# json.loads accepts a lone surrogate escape, which UTF-8 cannot encode
+_TEXT = st.text(max_size=8) | st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2)
 _SCALARS = (st.none() | st.booleans() | st.integers(-50, 50)
-            | st.floats(min_value=-1e3, max_value=1e3) | _NON_FINITE | st.text(max_size=8))
+            | st.floats(min_value=-1e3, max_value=1e3) | _NON_FINITE | _TEXT)
 _JSON = st.recursive(
     _SCALARS,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
-                                                                 max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
     max_leaves=8,
 )
 

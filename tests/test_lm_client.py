@@ -318,7 +318,7 @@ class TestEmbedConcurrency:
         texts = _texts(100)
         model = _InFlightModel(fail_prompt=texts[0])
         with MockLmServer(model) as server:
-            with pytest.raises(ProtocolError, match="missing 'embedding'"):
+            with pytest.raises(ProtocolError, match="embedding must be a list, not missing"):
                 embed(server.endpoint, "gte-large", texts)
             _drain_embed_pool()
         assert texts[0] in model.seen

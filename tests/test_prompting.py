@@ -1,16 +1,21 @@
 import pytest
 
+from reportex.corpus import LabelSchema, Task
 from reportex.prompting import (
     FewShot,
-    FewShotExemplar,
     PromptError,
     PromptStrategy,
     PromptStyle,
-    PromptTemplates,
+    _render,
     build_prompt,
+    check_strategies,
     default_exemplars,
 )
 from reportex.retrieval import RetrievedContext
+
+
+def _schema(valid_labels, nr_label="NR"):
+    return LabelSchema(Task.RADIOLOGY, tuple(valid_labels), nr_label, "score", "score")
 
 
 def _ctx(text="Stable exam. BT-RADS follow-up score: 2."):
@@ -38,9 +43,8 @@ class TestBuildPrompt:
 
     def test_deterministic(self, pathology_schema):
         strategy = PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE_AND_NEGATIVE, True)
-        exemplars = default_exemplars(pathology_schema)
-        a = build_prompt(_ctx(), pathology_schema, strategy, exemplars)
-        b = build_prompt(_ctx(), pathology_schema, strategy, exemplars)
+        a = build_prompt(_ctx(), pathology_schema, strategy)
+        b = build_prompt(_ctx(), pathology_schema, strategy)
         assert a == b
 
     def test_json_instruction_appended(self, pathology_schema):
@@ -53,9 +57,8 @@ class TestBuildPrompt:
 
     def test_exemplars_render_positives_first_negative_last(self, radiology_schema):
         exemplars = default_exemplars(radiology_schema)
-        prompt = build_prompt(_ctx(), radiology_schema,
-                              PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE_AND_NEGATIVE, False),
-                              exemplars)
+        strategy = PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE_AND_NEGATIVE, False)
+        prompt = build_prompt(_ctx(), radiology_schema, strategy)
         positions = [prompt.index(e.snippet) for e in exemplars]
         assert positions == sorted(positions)
         assert positions[-1] < prompt.index(_ctx().selected_text)
@@ -63,33 +66,37 @@ class TestBuildPrompt:
     def test_positive_only_excludes_negative(self, radiology_schema):
         exemplars = default_exemplars(radiology_schema)
         prompt = build_prompt(_ctx(), radiology_schema,
-                              PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE, False),
-                              exemplars)
+                              PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE, False))
         negative = [e for e in exemplars if e.answer == "NR"][0]
         assert negative.snippet not in prompt
 
-    def test_negative_required_error(self, radiology_schema):
-        positives_only = tuple(e for e in default_exemplars(radiology_schema) if e.answer != "NR")
-        with pytest.raises(PromptError):
-            build_prompt(_ctx(), radiology_schema,
-                         PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE_AND_NEGATIVE, False),
-                         positives_only)
+    def test_negative_required_error(self):
+        # every built-in exemplar answer is a label, but none is the not-reported one
+        schema = _schema(["2", "4", "NR", "none"], nr_label="none")
+        build_prompt(_ctx(), schema, PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE, False))
+        with pytest.raises(PromptError, match="requires a negative exemplar"):
+            build_prompt(_ctx(), schema,
+                         PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE_AND_NEGATIVE, False))
 
     def test_prompt_grows_with_exemplars(self, radiology_schema):
-        exemplars = default_exemplars(radiology_schema)
         lengths = []
-        for few_shot, ex in [(FewShot.NONE, ()), (FewShot.POSITIVE, exemplars),
-                             (FewShot.POSITIVE_AND_NEGATIVE, exemplars)]:
+        for few_shot in (FewShot.NONE, FewShot.POSITIVE, FewShot.POSITIVE_AND_NEGATIVE):
             prompt = build_prompt(_ctx(), radiology_schema,
-                                  PromptStrategy(PromptStyle.COMPLEX, few_shot, False), ex)
+                                  PromptStrategy(PromptStyle.COMPLEX, few_shot, False))
             lengths.append(len(prompt))
         assert lengths[0] < lengths[1] < lengths[2]
 
-    def test_exemplar_answer_outside_schema_rejected(self, radiology_schema):
-        bad = (FewShotExemplar("snippet", "banana"),)
-        with pytest.raises(PromptError):
-            build_prompt(_ctx(), radiology_schema,
-                         PromptStrategy(PromptStyle.COMPLEX, FewShot.POSITIVE, False), bad)
+    def test_exemplar_answer_outside_schema_rejected(self):
+        schema = _schema(["low", "high", "NR"])
+        zero_shot = [PromptStrategy(style, FewShot.NONE, json_instruction)
+                     for style in PromptStyle for json_instruction in (False, True)]
+        check_strategies(schema, zero_shot)
+        for few_shot in (FewShot.POSITIVE, FewShot.POSITIVE_AND_NEGATIVE):
+            strategy = PromptStrategy(PromptStyle.COMPLEX, few_shot, False)
+            with pytest.raises(PromptError, match="schema has no label '2'"):
+                build_prompt(_ctx(), schema, strategy)
+            with pytest.raises(PromptError, match="schema has no label '2'"):
+                check_strategies(schema, zero_shot + [strategy])
 
 
 class TestDefaultExemplars:
@@ -107,21 +114,7 @@ class TestDefaultExemplars:
 
 
 class TestTemplates:
-    def test_unresolved_placeholder_is_error(self, radiology_schema):
-        templates = PromptTemplates(simple="{context} {bogus_name}", complex="{context}")
+    def test_unresolved_placeholder_is_error(self):
+        assert _render("ONLY {context} HERE", {"context": "abc"}) == "ONLY abc HERE"
         with pytest.raises(PromptError, match="bogus_name"):
-            build_prompt(_ctx(), radiology_schema,
-                         PromptStrategy(PromptStyle.SIMPLE, FewShot.NONE, False),
-                         templates=templates)
-
-    def test_template_hashes_stable(self):
-        t = PromptTemplates.default()
-        assert t.simple_hash == PromptTemplates.default().simple_hash
-        assert len(t.complex_hash) == 64
-
-    def test_custom_templates_used(self, radiology_schema):
-        templates = PromptTemplates(simple="ONLY {context} HERE", complex="x {context}")
-        prompt = build_prompt(_ctx("abc"), radiology_schema,
-                              PromptStrategy(PromptStyle.SIMPLE, FewShot.NONE, False),
-                              templates=templates)
-        assert prompt == "ONLY abc HERE"
+            _render("{context} {bogus_name}", {"context": "abc"})

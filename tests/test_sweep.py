@@ -345,12 +345,6 @@ class TestExtractOne:
         assert record.error is not None
         assert "connection refused" in record.error
 
-    def test_capture_errors_false_raises(self, radiology_corpus):
-        reports, _ = radiology_corpus
-        with pytest.raises(TransportError):
-            extract_one(reports[0], RADIOLOGY_SCHEMA, _config(), failing_backends(),
-                        capture_errors=False)
-
     def test_record_roundtrip(self, radiology_corpus, oracle_backends):
         reports, _ = radiology_corpus
         record = extract_one(reports[0], RADIOLOGY_SCHEMA, _config(), oracle_backends)
@@ -544,8 +538,7 @@ class TestAggregate:
         c1, c2 = _config(), _config(temperature=0.5)
         store = _store_with(tmp_path, "miss.jsonl", [(c1, self._preds(gold, 4))], gold)
         with pytest.raises(MissingRecordsError) as exc:
-            aggregate(store, gold, RADIOLOGY_SCHEMA, [c1, c2],
-                      expected_report_ids=sorted(gold))
+            aggregate(store, gold, RADIOLOGY_SCHEMA, [c1, c2])
         assert len(exc.value.missing) == 4
 
     def test_csv_has_expected_header_and_sorting(self, tmp_path):
@@ -910,6 +903,17 @@ class _BuggyEmbedder:
         raise ValueError("a programming error")
 
 
+class _ReplyModel(MockModel):
+    """Mock whose every /api/generate reply body is `reply`."""
+
+    def __init__(self, reply):
+        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)
+        self.reply = reply
+
+    def complete(self, payload):
+        return self.reply
+
+
 class TestPairExceptions:
     def _sweep(self, tmp_path, reports, oracle_backends, embedder=None, reranker=None):
         backends = PipelineBackends(oracle_backends.generate,
@@ -957,3 +961,22 @@ class TestPairExceptions:
         reports, _ = radiology_corpus
         with pytest.raises(ValueError, match="a programming error"):
             self._sweep(tmp_path, reports, oracle_backends, embedder=_BuggyEmbedder())
+
+    @pytest.mark.parametrize("reply, message", [
+        ("the response", "reply body must be a JSON object, not str"),
+        ({"response": 5}, "response must be a string, not int"),
+        ({"response": "\ud800 4"}, "response must be a string, not a string holding a lone"),
+        ({"response": "4", "model": None}, "model must be a string, not null"),
+    ], ids=["string-body", "number", "surrogate", "model"])
+    def test_malformed_generate_reply_is_stored_as_an_error(self, tmp_path, radiology_corpus,
+                                                            reply, message):
+        reports, _ = radiology_corpus
+        path = tmp_path / "s.jsonl"
+        with MockLmServer(_ReplyModel(reply)) as server:
+            store = run_sweep(reports[:2], [_config()], server.endpoint, path, RADIOLOGY_SCHEMA,
+                              parallelism=2, no_timestamps=True)
+        assert len(store) == 2
+        for r in store.records:
+            assert r.error.startswith("ProtocolError: ") and message in r.error
+            assert r.raw_output == "" and r.parsed.reason is InvalidReason.EMPTY
+        assert ResultStore.open(path).records == store.records
