@@ -19,21 +19,24 @@ once more on a fresh connection, and that reopening is not a retry. Proxies
 follow the environment as urllib reads it (http_proxy, https_proxy,
 no_proxy): an http request goes to the proxy with the absolute URL as its
 target, an https request through a CONNECT tunnel. Credentials in a proxy
-URL are not sent.
+URL are not sent, and localhost or a loopback IP address is never proxied.
+Each reply is checked in the thread that receives it.
 
 embed() sends one /api/embeddings request per text, concurrently, through one
-process-wide pool of EMBED_CONCURRENCY threads, made on first use. The bound
-holds across all callers: two sweep workers embedding at once share the same
-EMBED_CONCURRENCY requests in flight, over at most EMBED_CONCURRENCY
-connections. A bound per call would multiply with the callers and overflow a
-small server listen queue, where each dropped connection waits out a 1 s SYN
-retransmit. It returns one row per text, a list of Python floats scaled to
-unit L2 norm; the client needs nothing beyond the standard library.
+process-wide pool of EMBED_CONCURRENCY threads, made at import and started by
+the first request. The bound holds across all callers: two sweep workers
+embedding at once share the same EMBED_CONCURRENCY requests in flight, over
+at most EMBED_CONCURRENCY connections. A bound per call would multiply with
+the callers and overflow a small server listen queue, where each dropped
+connection waits out a 1 s SYN retransmit. It returns one row per text, a
+list of Python floats scaled to unit L2 norm, and refuses a row holding NaN
+or an infinity; the client needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import http.client
+import ipaddress
 import json
 import math
 import os
@@ -43,6 +46,7 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .inputs import InputError, check_object
 
@@ -54,8 +58,7 @@ ENDPOINT_ENV_VAR = "EXTRACTOR_LM_ENDPOINT"
 
 EMBED_CONCURRENCY = 8  # embedding requests in flight, per process
 
-_embed_pool: ThreadPoolExecutor | None = None
-_embed_pool_lock = threading.Lock()
+_EMBED_POOL = ThreadPoolExecutor(max_workers=EMBED_CONCURRENCY, thread_name_prefix="reportex-embed")
 _embed_submit_lock = threading.Lock()
 
 _thread = threading.local()  # .kept: this thread's _KeptConnection, if any
@@ -136,6 +139,13 @@ class _KeptConnection:
         self.conn.close()
 
 
+def _loopback(host: str) -> bool:
+    try:
+        return host == "localhost" or ipaddress.ip_address(host).is_loopback
+    except ValueError:  # a name, not an address
+        return False
+
+
 def _connection(url: str) -> tuple[http.client.HTTPConnection, str]:
     """This thread's connection to the server of `url` (or to its proxy), and
     the request target to send on it."""
@@ -144,7 +154,7 @@ def _connection(url: str) -> tuple[http.client.HTTPConnection, str]:
         raise ValueError(f"endpoint must be an http:// or https:// URL: {url!r}")
     target = parts.path + (f"?{parts.query}" if parts.query else "")
     proxy = urllib.request.getproxies().get(parts.scheme)
-    if proxy and urllib.request.proxy_bypass(parts.netloc):
+    if proxy and (_loopback(parts.hostname) or urllib.request.proxy_bypass(parts.netloc)):
         proxy = None
     route = (parts.scheme, parts.hostname, parts.port, proxy)
     kept = getattr(_thread, "kept", None)
@@ -192,19 +202,12 @@ def _post(url: str, body: bytes) -> tuple[int, str]:
         raise
 
 
-def _reply(data, table) -> dict:
-    """The checked fields of a decoded reply body; ProtocolError if they do not fit `table`."""
-    try:
-        return check_object(data, table, "reply body")
-    except InputError as e:
-        raise ProtocolError(200, str(e)) from e
-
-
 _GENERATE_REPLY = (("response", str, True), ("model", str, False))
 _EMBED_REPLY = (("embedding", list, True),)
 
 
-def _post_with_retries(url: str, payload: dict) -> dict:
+def _post_with_retries(url: str, payload: dict, table) -> dict:
+    """POST `payload` as JSON; the reply's fields, checked against `table`."""
     body = json.dumps(payload).encode("utf-8")
     last_error: LmClientError | None = None
     for attempt in range(DEFAULT_RETRIES + 1):
@@ -220,7 +223,9 @@ def _post_with_retries(url: str, payload: dict) -> dict:
             if not 200 <= status < 300:
                 raise ProtocolError(status, text)
             try:
-                return json.loads(text)
+                return check_object(json.loads(text), table, "reply body")
+            except InputError as e:
+                raise ProtocolError(status, str(e)) from e
             except ValueError as e:
                 raise ProtocolError(status, f"non-JSON body: {text[:100]}") from e
         if attempt < DEFAULT_RETRIES:
@@ -233,7 +238,7 @@ def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
     """One non-streaming generation call; transient transport failures are retried."""
     url = resolve_endpoint(endpoint) + "/api/generate"
     start = time.perf_counter()
-    data = _reply(_post_with_retries(url, request.to_payload()), _GENERATE_REPLY)
+    data = _post_with_retries(url, request.to_payload(), _GENERATE_REPLY)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return GenerationResponse(
         raw_text=data["response"],
@@ -242,30 +247,18 @@ def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
     )
 
 
-def _shared_embed_pool() -> ThreadPoolExecutor:
-    global _embed_pool
-    with _embed_pool_lock:
-        if _embed_pool is None:
-            _embed_pool = ThreadPoolExecutor(max_workers=EMBED_CONCURRENCY,
-                                             thread_name_prefix="reportex-embed")
-        return _embed_pool
-
-
-def _embedding_row(data) -> list[float]:
-    row = _reply(data, _EMBED_REPLY)["embedding"]
-    if not row or any(isinstance(x, list) for x in row):
+def _embedding(url: str, model: str, text: str) -> list[float]:
+    """The server's row for `text`, scaled to unit L2 norm; a zero row stays zero."""
+    row = _post_with_retries(url, {"model": model, "prompt": text}, _EMBED_REPLY)["embedding"]
+    if not row or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
         raise ProtocolError(200, f"embedding must be a nonempty flat number array: {str(row)[:80]}")
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
-        raise ProtocolError(200, f"non-numeric embedding: {str(row)[:80]}")
     try:
-        return [float(x) for x in row]
-    except OverflowError as e:  # an integer beyond float range
-        raise ProtocolError(200, f"non-numeric embedding: {e}") from e
-
-
-def _normalized(row: list[float]) -> list[float]:
-    """The row scaled to unit L2 norm; a zero row stays zero."""
-    norm = math.sqrt(math.fsum(x * x for x in row))
+        row = [float(x) for x in row]
+        norm = math.sqrt(math.fsum(x * x for x in row))
+    except OverflowError as e:  # an integer beyond float range, or a sum of squares beyond it
+        raise ProtocolError(200, f"embedding must have a finite norm: {e}") from e
+    if not math.isfinite(norm):  # a NaN or an infinity, both of which json.loads accepts
+        raise ProtocolError(200, f"embedding must have a finite norm: {str(row)[:80]}")
     return [x / norm for x in row] if norm > 0 else row
 
 
@@ -279,18 +272,12 @@ def embed(endpoint: str, model: str, texts: list[str]) -> list[list[float]]:
     if not texts:
         raise ValueError("texts must be nonempty")
     url = resolve_endpoint(endpoint) + "/api/embeddings"
-    pool = _shared_embed_pool()
     # One call's requests queue together, so that the first caller's rows come
     # back first instead of every caller's last row arriving at the end.
     with _embed_submit_lock:
-        futures = [pool.submit(_post_with_retries, url, {"model": model, "prompt": text})
-                   for text in texts]
-    try:
-        rows = [_embedding_row(future.result()) for future in futures]
-    finally:
-        for future in futures:
-            future.cancel()
+        rows = _EMBED_POOL.map(_embedding, repeat(url), repeat(model), texts)
+    rows = list(rows)  # map cancels the queued requests when one raises
     dims = {len(r) for r in rows}
     if len(dims) != 1:
         raise ProtocolError(200, f"inconsistent embedding dimensions: {sorted(dims)}")
-    return [_normalized(r) for r in rows]
+    return rows

@@ -10,8 +10,8 @@ text. Unknown prompts get a garbage-mode response.
 
 The constant prompt text must never vote, so every window of it is removed
 from both indexes. That text is taken from `prompting.build_prompt` itself:
-its renders of all twelve strategies for an empty context. Only `prompting`
-knows the prompt wording and the exemplars.
+its renders, for an empty context, of each strategy the schema can render.
+Only `prompting` knows the prompt wording and the exemplars.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import socket
 import sys
 import threading
 from collections import Counter
+from contextlib import suppress
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
+from itertools import product, starmap
 from typing import Iterator
 
 from .corpus import LabelSchema, Report, answer_sentence
-from .prompting import FewShot, PromptStrategy, PromptStyle, build_prompt
+from .prompting import FewShot, PromptError, PromptStrategy, PromptStyle, build_prompt
 from .retrieval import MockHashEmbedder, RetrievedContext
 
 _SHINGLE = 16
@@ -69,8 +71,11 @@ def _vote(index: dict[bytes, str | None], prompt: str) -> str | None:
 def _static_prompt_text(schema: LabelSchema) -> list[str]:
     """Every strategy's prompt for an empty context: the text all prompts share."""
     empty = RetrievedContext("", False, None, ())
-    return [build_prompt(empty, schema, PromptStrategy(style, few_shot, json_instruction))
-            for style in PromptStyle for few_shot in FewShot for json_instruction in (False, True)]
+    texts = []
+    for strategy in starmap(PromptStrategy, product(PromptStyle, FewShot, (False, True))):
+        with suppress(PromptError):  # run_sweep and extract refuse it before any request
+            texts.append(build_prompt(empty, schema, strategy))
+    return texts
 
 
 class MockMode(str, Enum):

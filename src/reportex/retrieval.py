@@ -147,7 +147,7 @@ def bm25_rank(query_terms: list[str], chunks: list[Chunk], stats: Bm25Stats,
 
 class VectorIndexError(ValueError):
     """Embeddings unfit for a VectorIndex: the wrong shape, rows that are not
-    unit-normalized, or a query of another dimension."""
+    unit-normalized, or a query of another dimension or without a finite norm."""
 
 
 class VectorIndex:
@@ -162,7 +162,7 @@ class VectorIndex:
             raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix") from e
         if len(rows) != len(chunks) or len({len(row) for row in rows}) > 1:
             raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix")
-        if any(abs(_norm(row) - 1.0) > 1e-6 for row in rows):
+        if not all(abs(_norm(row) - 1.0) <= 1e-6 for row in rows):  # NaN fails it too
             raise VectorIndexError("stored vectors must be unit-normalized (L2 norm 1 +- 1e-6)")
         self.chunks = tuple(chunks)
         self.rows = rows
@@ -183,6 +183,8 @@ def dense_search(index: VectorIndex, query_vector, n: int) -> list[tuple[Chunk, 
         raise VectorIndexError(
             f"query dimension ({len(q)},) does not match index ({index.dimension},)")
     norm = _norm(q)
+    if not math.isfinite(norm):
+        raise VectorIndexError("query vector must have a finite norm")
     if norm > 0:
         q = [x / norm for x in q]
     scores = [math.fsum(map(operator.mul, row, q)) for row in index.rows]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import select
 import socket
@@ -235,8 +236,11 @@ class TestEmbedRows:
         {"embedding": 0.6},
         {"embedding": {"x": 0.6}},
         {"embedding": None},
+        {"embedding": [math.nan, 1.0]},  # sent as the NaN that json.loads accepts
+        {"embedding": [-math.inf, 1.0]},
+        {"embedding": [1.3e154, 1.3e154]},
     ], ids=["missing", "nested", "ragged", "string", "null", "bool", "overflow", "empty",
-            "scalar", "object", "null-row"])
+            "scalar", "object", "null-row", "nan", "infinity", "norm-overflow"])
     def test_malformed_row_is_protocol_error(self, reply):
         with pytest.raises(ProtocolError):
             _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": reply})
@@ -284,7 +288,7 @@ def _drain_embed_pool():
     cancelled: the pool is FIFO, and these tasks run only when all its threads
     are free at once."""
     barrier = threading.Barrier(EMBED_CONCURRENCY)
-    pool = lm_client._shared_embed_pool()
+    pool = lm_client._EMBED_POOL
     for future in [pool.submit(barrier.wait, 10) for _ in range(EMBED_CONCURRENCY)]:
         future.result(timeout=20)
 
@@ -324,29 +328,6 @@ class TestEmbedConcurrency:
         assert texts[0] in model.seen
         assert len(model.seen) < 50
 
-    def test_concurrent_first_use_makes_one_pool(self, monkeypatch):
-        monkeypatch.setattr(lm_client, "_embed_pool", None)
-        start = threading.Barrier(16)
-        pools = []
-
-        def first_use():
-            start.wait(timeout=10)
-            pools.append(lm_client._shared_embed_pool())
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=first_use) for _ in range(16)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(pools) == 16 and len({id(p) for p in pools}) == 1
-        pools[0].shutdown()
-
     def test_import_starts_no_threads(self):
         src = str(Path(reportex.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -354,8 +335,7 @@ class TestEmbedConcurrency:
         subprocess.run([sys.executable, "-c",
                         "import threading; before = threading.active_count(); "
                         "import reportex; from reportex import lm_client as c; "
-                        "assert threading.active_count() == before; "
-                        "assert c._embed_pool is None"],
+                        "assert threading.active_count() == before"],
                        check=True, env=env)
 
 
@@ -450,22 +430,39 @@ class TestConnections:
         with pytest.raises(TransportError):
             generate(server.endpoint, request)
 
-    def test_proxy_from_environment(self, oracle_server, monkeypatch):
+    def test_proxy_from_environment(self, monkeypatch):
+        for var in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(var, raising=False)
+        proxy = _serving(_ProxyHandler)
+        proxy.targets = []
+        endpoint = "http://model.invalid:11434"  # only the proxy can answer it
+        try:
+            host, port = proxy.server_address[:2]
+            monkeypatch.setenv("http_proxy", f"http://{host}:{port}")
+            resp = generate(endpoint, GenerationRequest("m", "p"))
+            assert resp.raw_text == "via proxy"
+            assert proxy.targets == [endpoint + "/api/generate"]  # absolute form
+            monkeypatch.setenv("no_proxy", "model.invalid")
+            conn, target = lm_client._connection(endpoint + "/api/generate")  # connects lazily
+            assert (conn.host, conn.port, target) == ("model.invalid", 11434, "/api/generate")
+        finally:
+            proxy.shutdown()
+            proxy.server_close()
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
+    def test_loopback_server_is_reached_without_the_proxy(self, oracle_server, monkeypatch,
+                                                           host):
         server, reports, gold = oracle_server
         for var in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
             monkeypatch.delenv(var, raising=False)
         proxy = _serving(_ProxyHandler)
         proxy.targets = []
         try:
-            host, port = proxy.server_address[:2]
-            monkeypatch.setenv("http_proxy", f"http://{host}:{port}")
-            resp = generate(server.endpoint, GenerationRequest("m", reports[0].text))
-            assert resp.raw_text == "via proxy"
-            assert proxy.targets == [server.endpoint + "/api/generate"]  # absolute form
-            monkeypatch.setenv("no_proxy", "127.0.0.1")
-            resp = generate(server.endpoint, GenerationRequest("m", reports[0].text))
+            monkeypatch.setenv("http_proxy", "http://%s:%d" % proxy.server_address[:2])
+            endpoint = server.endpoint.replace("127.0.0.1", host)
+            resp = generate(endpoint, GenerationRequest("m", reports[0].text))
             assert json.loads(resp.raw_text) == {"score": gold[reports[0].id]}
-            assert proxy.targets == [server.endpoint + "/api/generate"]
+            assert proxy.targets == []
         finally:
             proxy.shutdown()
             proxy.server_close()

@@ -39,3 +39,20 @@ def test_short_wire_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+def test_short_traced_rag_run_reports_every_layer():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "path-rag-wire",
+         "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert set(result["metrics"]) == {m["name"] for m in declared}
+    for name in ("lm_client.embed_request_ms", "retrieval.embed_ms"):
+        assert isinstance(result["metrics"][name]["value"], float), name

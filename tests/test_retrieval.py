@@ -248,13 +248,14 @@ class TestDenseSearch:
         [[1.0, 0.0], [0.0, "x"]],
         [1.0, 0.0],
         [[1.0, 0.0], [0.0, 0.5]],
-    ], ids=["row-count", "ragged", "non-numeric", "flat", "not-unit"])
+        [[math.nan, 0.0], [1.0, 0.0]],
+    ], ids=["row-count", "ragged", "non-numeric", "flat", "not-unit", "nan"])
     def test_malformed_vectors_rejected(self, vectors):
         with pytest.raises(VectorIndexError):
             VectorIndex(_chunks(["a", "b"]), vectors)
 
-    @pytest.mark.parametrize("query", [5.0, [1.0, "x"], [1.0]], ids=["scalar", "non-numeric",
-                                                                    "short"])
+    @pytest.mark.parametrize("query", [5.0, [1.0, "x"], [1.0], [math.nan, 0.0], [math.inf, 0.0]],
+                             ids=["scalar", "non-numeric", "short", "nan", "infinity"])
     def test_malformed_query_rejected(self, query):
         index = VectorIndex(_chunks(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(VectorIndexError):

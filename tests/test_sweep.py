@@ -11,7 +11,10 @@ from reportex import sweep as sweep_mod
 from reportex.corpus import (
     PATHOLOGY_SCHEMA,
     RADIOLOGY_SCHEMA,
+    LabelSchema,
+    Report,
     Task,
+    answer_sentence,
     default_corpus_spec,
     generate_synthetic_corpus,
 )
@@ -428,6 +431,20 @@ class TestRunSweep:
         assert len(store) == 15
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
         assert any(r.rag_used for r in store.records)
+
+    def test_mock_serves_a_schema_its_exemplars_do_not_fit(self, tmp_path):
+        schema = LabelSchema(Task.RADIOLOGY, ("low", "high", "NR"), "NR", "score", "score")
+        gold = {"r0": "low", "r1": "high", "r2": "NR"}
+        reports = [Report(rid, Task.RADIOLOGY,
+                          f"Surveillance MRI for case {rid}, series {i * 37} of the cavity. "
+                          + (answer_sentence(Task.RADIOLOGY, label) if label != "NR" else ""))
+                   for i, (rid, label) in enumerate(gold.items())]
+        config = _config()  # zero-shot: the sweep refuses the few-shot strategies
+        with MockLmServer(MockModel(MockMode.ORACLE, gold, schema, reports)) as server:
+            store = run_sweep(reports, [config], server.endpoint, tmp_path / "s.jsonl", schema,
+                              no_timestamps=True)
+        [(_, metrics)] = aggregate(store, gold, schema, [config]).rows
+        assert metrics.accuracy == 1.0
 
     def test_backend_failures_do_not_abort(self, tmp_path, radiology_corpus):
         reports, _ = radiology_corpus
@@ -914,6 +931,20 @@ class _ReplyModel(MockModel):
         return self.reply
 
 
+class _NanChunkModel(MockModel):
+    """Oracle mock whose /api/embeddings answers each report's first chunk with a NaN row."""
+
+    def __init__(self, gold, reports):
+        super().__init__(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        self.texts = [r.text for r in reports]
+
+    def embeddings(self, payload):
+        reply = super().embeddings(payload)
+        if any(text.startswith(payload["prompt"]) for text in self.texts):
+            reply["embedding"][0] = math.nan
+        return reply
+
+
 class TestPairExceptions:
     def _sweep(self, tmp_path, reports, oracle_backends, embedder=None, reranker=None):
         backends = PipelineBackends(oracle_backends.generate,
@@ -955,6 +986,18 @@ class TestPairExceptions:
         store = self._sweep(tmp_path, reports, oracle_backends, embedder=_ScaledEmbedder())
         self._assert_rag_pairs_errored(store, gold, VectorIndexError.__name__)
         assert any("unit-normalized" in (r.error or "") for r in store.records)
+
+    def test_nan_embedding_over_the_wire_is_stored_as_an_error(self, tmp_path,
+                                                              radiology_corpus):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        model = _NanChunkModel(gold, reports)
+        with MockLmServer(model) as server:
+            store = run_sweep(reports[:2], _mode_configs(("off", "dense")), server.endpoint,
+                              tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                              no_timestamps=True)
+        self._assert_rag_pairs_errored(store, gold, "ProtocolError")
+        assert all("must have a finite norm" in r.error for r in store.records if r.error)
 
     def test_other_value_error_aborts_the_sweep(self, tmp_path, radiology_corpus,
                                                 oracle_backends):
