@@ -53,8 +53,9 @@ lexical = bm25_rank(query_terms, chunks, stats)[:4]
 for chunk, score in hybrid_search(lexical, dense_search(index, query_vector, 4), 3):
     print(f"  {score:6.4f}  [{chunk.index}] {chunk.text[:60]!r}")
 
-print("top-3 by sequential retrieval (dense shortlist, BM25 re-scoring):")
-for chunk, score in sequential_search(index, stats, query_terms, query_vector, 8, 3):
+print("top-3 by sequential retrieval (dense shortlist of 8, BM25 re-scoring):")
+shortlist = dense_search(index, query_vector, 8)
+for chunk, score in sequential_search(shortlist, stats, query_terms, 3):
     print(f"  {score:6.3f}  [{chunk.index}] {chunk.text[:60]!r}")
 
 ctx = select_context(report, PATHOLOGY_SCHEMA, RetrievalSettings(mode="dense"),

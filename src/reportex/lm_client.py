@@ -5,6 +5,8 @@ prompt, stream=false, optional format="json", and sampling options; the
 completion comes back in the "response" field. POST <endpoint>/api/embeddings
 with {"model", "prompt"} returns {"embedding": [...]}. The environment
 variable EXTRACTOR_LM_ENDPOINT overrides any configured endpoint.
+resolve_endpoint refuses an endpoint that is not an http:// or https:// URL
+with a host and a valid port, so a bad one fails before any request.
 
 Transport settings are the module constants DEFAULT_TIMEOUT (seconds per
 attempt), DEFAULT_RETRIES (extra attempts after a timeout or connection
@@ -121,9 +123,18 @@ class GenerationResponse:
 
 
 def resolve_endpoint(configured: str | None) -> str:
+    """The endpoint to use, EXTRACTOR_LM_ENDPOINT first; an http(s) URL with a
+    host and a valid port, or LmClientError."""
     endpoint = os.environ.get(ENDPOINT_ENV_VAR) or configured
     if not endpoint:
         raise LmClientError(f"no endpoint configured and {ENDPOINT_ENV_VAR} is unset")
+    parts = urllib.parse.urlsplit(endpoint)
+    try:
+        parts.port  # raises ValueError for a port that is not a number in 0-65535
+    except ValueError as e:
+        raise LmClientError(f"endpoint {endpoint!r}: {e}") from e
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise LmClientError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
     return endpoint.rstrip("/")
 
 
@@ -150,8 +161,6 @@ def _connection(url: str) -> tuple[http.client.HTTPConnection, str]:
     """This thread's connection to the server of `url` (or to its proxy), and
     the request target to send on it."""
     parts = urllib.parse.urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"endpoint must be an http:// or https:// URL: {url!r}")
     target = parts.path + (f"?{parts.query}" if parts.query else "")
     proxy = urllib.request.getproxies().get(parts.scheme)
     if proxy and (_loopback(parts.hostname) or urllib.request.proxy_bypass(parts.netloc)):

@@ -99,29 +99,32 @@ class Bm25Params:
 
 
 class Bm25Stats:
-    """Per-report chunk-set statistics: term document frequencies and lengths."""
+    """Per-report chunk-set statistics: term document frequencies and lengths,
+    keyed by Chunk.index. The indices in one set must be distinct, as
+    split_recursive's are."""
 
     def __init__(self, chunks: list[Chunk]):
         self.n_chunks = len(chunks)
-        self.tf: list[dict[str, int]] = []
-        self.doc_len: list[int] = []
+        self.tf: dict[int, dict[str, int]] = {}
+        self.doc_len: dict[int, int] = {}
         self.df: dict[str, int] = {}
         for chunk in chunks:
             tokens = tokenize(chunk.text)
             counts: dict[str, int] = {}
             for t in tokens:
                 counts[t] = counts.get(t, 0) + 1
-            self.tf.append(counts)
-            self.doc_len.append(len(tokens))
+            self.tf[chunk.index] = counts
+            self.doc_len[chunk.index] = len(tokens)
             for t in counts:
                 self.df[t] = self.df.get(t, 0) + 1
-        total = sum(self.doc_len)
+        total = sum(self.doc_len.values())
         self.avgdl = total / self.n_chunks if self.n_chunks else 0.0
 
 
 def bm25_score(query_terms: list[str], chunk_index: int, stats: Bm25Stats,
                params: Bm25Params = Bm25Params()) -> float:
-    """Okapi BM25 score of one chunk against a query term multiset."""
+    """Okapi BM25 score of the chunk with index `chunk_index` against a query
+    term multiset."""
     tf = stats.tf[chunk_index]
     dl = stats.doc_len[chunk_index]
     score = 0.0
@@ -140,7 +143,7 @@ def bm25_score(query_terms: list[str], chunk_index: int, stats: Bm25Stats,
 def bm25_rank(query_terms: list[str], chunks: list[Chunk], stats: Bm25Stats,
               params: Bm25Params = Bm25Params()) -> list[tuple[Chunk, float]]:
     """All chunks ranked by BM25 score descending, ties by chunk index."""
-    scored = [(c, bm25_score(query_terms, i, stats, params)) for i, c in enumerate(chunks)]
+    scored = [(c, bm25_score(query_terms, c.index, stats, params)) for c in chunks]
     scored.sort(key=lambda cs: (-cs[1], cs[0].index))
     return scored
 
@@ -170,7 +173,10 @@ class VectorIndex:
 
 
 def _norm(row: list[float]) -> float:
-    return math.sqrt(math.fsum(x * x for x in row))
+    try:
+        return math.sqrt(math.fsum(x * x for x in row))
+    except OverflowError:  # a sum of squares beyond float range
+        return math.inf
 
 
 def dense_search(index: VectorIndex, query_vector, n: int) -> list[tuple[Chunk, float]]:
@@ -210,28 +216,15 @@ def hybrid_search(ranking_a: list[tuple[Chunk, float]], ranking_b: list[tuple[Ch
     return [(by_index[i], fused[i]) for i in order[:n]]
 
 
-def sequential_search(index: VectorIndex, stats: Bm25Stats, query_terms: list[str],
-                      query_vector, shortlist_m: int, n: int,
+def sequential_search(shortlist: list[tuple[Chunk, float]], stats: Bm25Stats,
+                      query_terms: list[str], n: int,
                       params: Bm25Params = Bm25Params()) -> list[tuple[Chunk, float]]:
-    """Dense shortlist of size m, then BM25 re-scoring; ties broken by dense rank.
-
-    `stats` must be built over the same chunk list the index holds.
-    """
-    if shortlist_m < n:
-        raise ValueError("shortlist_m must be >= n")
-    shortlist = dense_search(index, query_vector, shortlist_m)
-    return _bm25_rescore(shortlist, index.chunks, stats, query_terms, n, params)
-
-
-def _bm25_rescore(shortlist: list[tuple[Chunk, float]], chunks, stats: Bm25Stats,
-                  query_terms: list[str], n: int, params: Bm25Params) -> list[tuple[Chunk, float]]:
-    """The n best of a dense shortlist by BM25, ties broken by dense rank;
-    `stats` is built over `chunks`."""
-    position = {chunk.index: pos for pos, chunk in enumerate(chunks)}
-    rescored = []
-    for dense_pos, (chunk, _) in enumerate(shortlist):
-        score = bm25_score(query_terms, position[chunk.index], stats, params)
-        rescored.append((chunk, score, dense_pos))
+    """The n best of a dense shortlist by BM25 re-scoring, ties broken by
+    dense rank. `stats` must cover every shortlisted chunk."""
+    if len(shortlist) < n:
+        raise ValueError("the shortlist must hold at least n chunks")
+    rescored = [(chunk, bm25_score(query_terms, chunk.index, stats, params), dense_pos)
+                for dense_pos, (chunk, _) in enumerate(shortlist)]
     rescored.sort(key=lambda t: (-t[1], t[2]))
     return [(chunk, score) for chunk, score, _ in rescored[:n]]
 
@@ -411,7 +404,7 @@ def _dense_ranking(report: Report, cfg: RetrievalSettings, query: str,
     """The report's retrievable chunks and all of them ranked by dense_search."""
     chunks = split_recursive(report.text, cfg.chunk_size, cfg.overlap, report.id)
     # token-less chunks cannot match anything and would embed to zero vectors
-    chunks = [c for c in chunks if tokenize(c.text)]
+    chunks = [c for c in chunks if _TOKEN_RE.search(c.text.casefold())]
     if not chunks:
         return chunks, []
     # One call: the query rides as row 0, so the ranking waits on this report alone.
@@ -450,15 +443,13 @@ def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
     else:  # hybrid and sequential also rank lexically
         query_terms = tokenize(query)
         params = Bm25Params(cfg.bm25_k1, cfg.bm25_b)
+        # Built per call, not memoized: the memo keeps its entries for the whole sweep.
         stats = Bm25Stats(chunks)
         if cfg.mode == "hybrid":
             lexical = bm25_rank(query_terms, chunks, stats, params)[:n]
             retrieved = hybrid_search(lexical, ranking[:n], n)
-        else:  # sequential
-            m = max(min(cfg.shortlist, len(chunks)), n)
-            retrieved = _bm25_rescore(ranking[:m], chunks, stats, query_terms, n, params)
-    if not retrieved:
-        return _full_report(report)
+        else:  # sequential; shortlist >= candidates, so the prefix holds n chunks
+            retrieved = sequential_search(ranking[:cfg.shortlist], stats, query_terms, n, params)
 
     retrieval_scores = {chunk.index: score for chunk, score in retrieved}
     reranked = rerank(query, [chunk for chunk, _ in retrieved], reranker)

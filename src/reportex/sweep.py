@@ -3,7 +3,9 @@ append-only result store, and metric/statistics aggregation over stores."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -175,16 +177,16 @@ class SweepGrid:
             raise SweepError(f"{path}: invalid grid file ({e})") from e
 
 
-def _set_path(d: dict, path: str, value) -> None:
-    parts = path.split(".")
-    node = d
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise SweepError(f"unknown axis {path!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise SweepError(f"unknown axis {path!r}")
-    node[parts[-1]] = value
+def _field(d: dict, axis: str) -> tuple[dict, str]:
+    """The dict holding the dotted `axis` of a config dict, and its key there."""
+    *parents, key = axis.split(".")
+    for part in parents:
+        d = d.get(part)
+        if not isinstance(d, dict):
+            raise SweepError(f"unknown axis {axis!r}")
+    if key not in d:
+        raise SweepError(f"unknown axis {axis!r}")
+    return d, key
 
 
 def enumerate_configs(grid: SweepGrid) -> list[PipelineConfig]:
@@ -205,7 +207,8 @@ def enumerate_configs(grid: SweepGrid) -> list[PipelineConfig]:
     for combo in itertools.product(*value_lists):
         d = grid.base.to_dict()
         for name, value in zip(names, combo):
-            _set_path(d, name, value)
+            node, key = _field(d, name)
+            node[key] = value
         configs.append(PipelineConfig.from_dict(d))
     hashes = {c.config_hash for c in configs}
     if len(hashes) != len(configs):
@@ -479,17 +482,14 @@ class AggregateResult:
         ("retrieval_mode", "retrieval.mode"), ("seed", "seed"),
     )
 
-    def csv_lines(self) -> list[str]:
-        header = ",".join([column for column, _ in self.CONFIG_COLUMNS] + list(TABLE_COLUMNS))
-        lines = [header]
-        for config, report in self.rows:
-            cells = [attrgetter(path)(config) for _, path in self.CONFIG_COLUMNS]
-            cells += [f"{v:.6f}" for v in report.csv_row()]
-            lines.append(",".join(str(c) for c in cells))
-        return lines
-
     def to_csv(self) -> str:
-        return "\n".join(self.csv_lines()) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([column for column, _ in self.CONFIG_COLUMNS] + list(TABLE_COLUMNS))
+        for config, report in self.rows:
+            writer.writerow([attrgetter(path)(config) for _, path in self.CONFIG_COLUMNS]
+                            + [f"{v:.6f}" for v in report.csv_row()])
+        return out.getvalue()
 
     def comparisons_json(self) -> dict:
         return {
@@ -498,36 +498,23 @@ class AggregateResult:
         }
 
 
-def _axis_value(config: PipelineConfig, axis: str):
-    node = config.to_dict()
-    for part in axis.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise SweepError(f"unknown axis {axis!r}")
-        node = node[part]
-    return node
-
-
 def _compare_axis(axis: str, rows: list[tuple[PipelineConfig, MetricsReport]]) -> AxisComparison:
-    values = sorted({repr(_axis_value(c, axis)) for c, _ in rows})
-    distinct = {repr(_axis_value(c, axis)): _axis_value(c, axis) for c, _ in rows}
-    if len(values) != 2:
-        raise SweepError(f"axis {axis!r} must take exactly 2 values in the store, got {len(values)}")
-    a, b = distinct[values[0]], distinct[values[1]]
-    if a in _FALSY_AXIS_VALUES:
-        value_off, value_on = a, b
-    elif b in _FALSY_AXIS_VALUES:
-        value_off, value_on = b, a
-    else:
-        value_off, value_on = a, b
+    cells = []  # (model, axis value, accuracy) per row
+    for config, report in rows:
+        node, key = _field(config.to_dict(), axis)
+        cells.append((config.model_name, node[key], report.accuracy))
+    distinct = {repr(v): v for _, v, _ in cells}
+    if len(distinct) != 2:
+        raise SweepError(f"axis {axis!r} must take exactly 2 values in the store, got {len(distinct)}")
+    a, b = (distinct[k] for k in sorted(distinct))
+    value_off, value_on = ((b, a) if a not in _FALSY_AXIS_VALUES and b in _FALSY_AXIS_VALUES
+                           else (a, b))
 
     per_model: dict[str, tuple[float, float, float]] = {}
-    models = sorted({c.model_name for c, _ in rows})
     on_acc, off_acc = [], []
-    for model in models:
-        accs_on = [r.accuracy for c, r in rows
-                   if c.model_name == model and _axis_value(c, axis) == value_on]
-        accs_off = [r.accuracy for c, r in rows
-                    if c.model_name == model and _axis_value(c, axis) == value_off]
+    for model in sorted({m for m, _, _ in cells}):
+        accs_on = [acc for m, v, acc in cells if m == model and v == value_on]
+        accs_off = [acc for m, v, acc in cells if m == model and v == value_off]
         if not accs_on or not accs_off:
             continue
         mean_on = sum(accs_on) / len(accs_on)

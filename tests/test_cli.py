@@ -331,6 +331,38 @@ class TestExtract:
                      "--endpoint", "http://127.0.0.1:9"]) == 3
 
 
+class TestEndpointChecked:
+    """An endpoint that is not an http(s) URL with a valid port is a usage error,
+    reported before any pair runs."""
+
+    def _run(self, corpus_files, tmp_path, command, endpoint):
+        if command == "sweep":
+            return main(["sweep", "--grid", corpus_files["grid"],
+                         "--corpus", corpus_files["corpus"], "--schema", corpus_files["schema"],
+                         "--store", str(tmp_path / "s.jsonl"), "--endpoint", endpoint])
+        report = tmp_path / "report.txt"
+        report.write_text(corpus_files["reports"][0].text)
+        return main(["extract", str(report), "--config", corpus_files["config"],
+                     "--schema", corpus_files["schema"], "--endpoint", endpoint])
+
+    @pytest.mark.parametrize("command", ["sweep", "extract"])
+    @pytest.mark.parametrize("configured, env", [
+        ("localhost:11434", None),
+        (None, "http://127.0.0.1:99999"),
+        (None, "http://127.0.0.1:abc"),
+    ], ids=["no-scheme", "port-out-of-range", "port-not-a-number"])
+    def test_bad_endpoint_exit_2(self, corpus_files, tmp_path, capsys, monkeypatch, command,
+                                 configured, env):
+        if env is not None:
+            monkeypatch.setenv("EXTRACTOR_LM_ENDPOINT", env)
+        assert self._run(corpus_files, tmp_path, command,
+                         configured or corpus_files["endpoint"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+
 class TestSweepAndReport:
     def test_sweep_then_report(self, corpus_files, tmp_path, capsys):
         store = tmp_path / "store.jsonl"

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reportex import retrieval
 from reportex.corpus import Task, default_corpus_spec, generate_synthetic_corpus, make_report
 from reportex.retrieval import (
     Bm25Params,
@@ -249,13 +250,16 @@ class TestDenseSearch:
         [1.0, 0.0],
         [[1.0, 0.0], [0.0, 0.5]],
         [[math.nan, 0.0], [1.0, 0.0]],
-    ], ids=["row-count", "ragged", "non-numeric", "flat", "not-unit", "nan"])
+        [[1.0, 0.0], [1.3e154, 1.3e154]],
+    ], ids=["row-count", "ragged", "non-numeric", "flat", "not-unit", "nan", "norm-overflow"])
     def test_malformed_vectors_rejected(self, vectors):
         with pytest.raises(VectorIndexError):
             VectorIndex(_chunks(["a", "b"]), vectors)
 
-    @pytest.mark.parametrize("query", [5.0, [1.0, "x"], [1.0], [math.nan, 0.0], [math.inf, 0.0]],
-                             ids=["scalar", "non-numeric", "short", "nan", "infinity"])
+    @pytest.mark.parametrize("query", [5.0, [1.0, "x"], [1.0], [math.nan, 0.0], [math.inf, 0.0],
+                                       [1.3e154, 1.3e154]],
+                             ids=["scalar", "non-numeric", "short", "nan", "infinity",
+                                  "norm-overflow"])
     def test_malformed_query_rejected(self, query):
         index = VectorIndex(_chunks(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(VectorIndexError):
@@ -319,9 +323,10 @@ class TestSequentialSearch:
         q = "idh detected"
         qv = embedder.embed([q])[0]
         qt = tokenize(q)
-        ours = [c.index for c, _ in sequential_search(index, stats, qt, qv, 4, 4)]
+        shortlist = dense_search(index, qv, 4)
+        ours = [c.index for c, _ in sequential_search(shortlist, stats, qt, 4)]
         bm25_order = bm25_rank(qt, chunks, stats)
-        dense_pos = {c.index: p for p, (c, _) in enumerate(dense_search(index, qv, 4))}
+        dense_pos = {c.index: p for p, (c, _) in enumerate(shortlist)}
         expected = [c.index for c, _ in sorted(
             bm25_order, key=lambda cs: (-cs[1], dense_pos[cs[0].index]))]
         assert ours == expected
@@ -330,8 +335,8 @@ class TestSequentialSearch:
         texts = ["alpha beta", "gamma delta", "alpha gamma"]
         chunks, embedder, index, stats = self._setup(texts)
         qv = embedder.embed(["beta"])[0]
-        seq = sequential_search(index, stats, ["nomatch"], qv, 1, 1)
         dense = dense_search(index, qv, 1)
+        seq = sequential_search(dense, stats, ["nomatch"], 1)
         assert seq[0][0].index == dense[0][0].index
 
     def test_six_chunk_two_stage_hand_execution(self):
@@ -349,14 +354,14 @@ class TestSequentialSearch:
             key=lambda t: (-t[1], t[2]),
         )
         expected = [c.index for c, _, _ in rescored[:2]]
-        ours = [c.index for c, _ in sequential_search(index, stats, qt, qv, 3, 2)]
+        ours = [c.index for c, _ in sequential_search(shortlist, stats, qt, 2)]
         assert ours == expected
 
     def test_shortlist_must_cover_n(self):
         texts = ["a b", "c d"]
         chunks, embedder, index, stats = self._setup(texts)
         with pytest.raises(ValueError):
-            sequential_search(index, stats, ["a"], embedder.embed(["a"])[0], 1, 2)
+            sequential_search(dense_search(index, embedder.embed(["a"])[0], 1), stats, ["a"], 2)
 
 
 class TestRerank:
@@ -535,7 +540,8 @@ class TestSelectContext:
                 "dense": dense_search(index, query_vector, 3),
                 "hybrid": hybrid_search(bm25_rank(terms, chunks, stats)[:3],
                                         dense_search(index, query_vector, 3), 3),
-                "sequential": sequential_search(index, stats, terms, query_vector, 6, 3),
+                "sequential": sequential_search(dense_search(index, query_vector, 6), stats,
+                                                terms, 3),
             }
             for mode, retrieved in expected.items():
                 cfg = RetrievalSettings(mode=mode, candidates=3, shortlist=6)
@@ -543,6 +549,71 @@ class TestSelectContext:
                     ctx = select_context(report, pathology_schema, cfg, embedder, reranker, shared)
                     assert sorted((c.index, s) for c, s, _ in ctx.candidates) == \
                         sorted((c.index, s) for c, s in retrieved), (report.id, mode)
+
+    def test_dense_tokenizes_only_the_rerank_candidates(self, pathology_schema, monkeypatch):
+        report = generate_synthetic_corpus(default_corpus_spec(Task.PATHOLOGY, 1, seed=3))[0][0]
+        query = pathology_schema.retrieval_keywords
+        texts = [query] + [c.text for c in split_recursive(report.text, report_id=report.id)]
+        rows = dict(zip(texts, MockHashEmbedder().embed(texts)))  # embedded before the patch
+
+        class Precomputed:
+            def embed(self, batch):
+                return [rows[t] for t in batch]
+
+        seen = []
+        real = retrieval.tokenize
+        monkeypatch.setattr(retrieval, "tokenize", lambda text: seen.append(text) or real(text))
+        ctx = select_context(report, pathology_schema, RetrievalSettings(mode="dense"),
+                             Precomputed(), TokenOverlapReranker())
+        assert len(set(texts)) - 1 > len(ctx.candidates)
+        assert set(seen) - {query} <= {c.text for c, _, _ in ctx.candidates}
+
+    def test_sequential_mode_calls_sequential_search_once(self, pathology_schema, monkeypatch):
+        filler = "Sections show infiltrating glioma with atypical nuclei and necrosis. " * 6
+        report = self._report(filler + "IDH1/IDH2 mutation status: negative (wildtype detected).")
+        calls = []
+        real = retrieval.sequential_search
+
+        def recording(shortlist, *args, **kwargs):
+            calls.append(len(shortlist))
+            return real(shortlist, *args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "sequential_search", recording)
+        cfg = RetrievalSettings(mode="sequential", candidates=3, shortlist=5)
+        ctx = select_context(report, pathology_schema, cfg, MockHashEmbedder(),
+                             TokenOverlapReranker())
+        assert calls == [5]
+        assert len(ctx.candidates) == 3
+
+    def test_tokenless_chunk_between_worded_chunks_is_skipped(self, pathology_schema):
+        report = self._report("Specimen received in formalin for review. "
+                              "-- ;; -- ;; -- ;; -- ;; -- ;; -- ;; -- ;; -- ;; --. "
+                              "IDH1/IDH2 mutation status: positive (mutant detected). "
+                              "Sections show infiltrating tumor with necrosis.")
+        chunks = split_recursive(report.text, report_id=report.id)
+        kept = [c for c in chunks if tokenize(c.text)]
+        assert [c.index for c in chunks if c not in kept] == [1]  # a gap in the kept indices
+        embedder, reranker = MockHashEmbedder(), TokenOverlapReranker()
+        query = pathology_schema.retrieval_keywords
+        terms, query_vector = tokenize(query), embedder.embed([query])[0]
+        stats = Bm25Stats(kept)
+        ranking = dense_search(VectorIndex(kept, embedder.embed([c.text for c in kept])),
+                               query_vector, len(kept))
+        expected = {
+            "dense": ranking[:2],
+            "hybrid": hybrid_search(bm25_rank(terms, kept, stats)[:2], ranking[:2], 2),
+            "sequential": sequential_search(ranking[:3], stats, terms, 2),
+        }
+        got = {}
+        for mode, retrieved in expected.items():
+            cfg = RetrievalSettings(mode=mode, candidates=2, shortlist=3)
+            got[mode] = select_context(report, pathology_schema, cfg, embedder,
+                                       reranker).candidates
+            assert 1 not in {c.index for c, _, _ in got[mode]}, mode
+            assert sorted((c.index, s) for c, s, _ in got[mode]) == \
+                sorted((c.index, s) for c, s in retrieved), mode
+        assert all(s == bm25_score(terms, c.index, stats) for c, s, _ in got["sequential"])
+        assert any(s > 0 for _, s, _ in got["sequential"])
 
 
 class TestSingleFlightMemo:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import threading
@@ -566,11 +568,20 @@ class TestAggregate:
             (configs[1], self._preds(gold, 9)),
         ], gold)
         result = aggregate(store, gold, RADIOLOGY_SCHEMA, configs)
-        lines = result.csv_lines()
+        lines = result.to_csv().splitlines()
         assert lines[0].startswith("config_hash,model_name")
         assert lines[0].endswith("accuracy,macro_precision,micro_precision,"
                                  "macro_recall,micro_recall,macro_f1,micro_f1")
         assert "better" in lines[1] and "worse" in lines[2]
+
+    def test_csv_quotes_a_model_name_with_a_comma_and_a_quote(self, tmp_path):
+        gold = self._gold(4)
+        config = _config(model_name='llama3:8b,q4 "x"')
+        store = _store_with(tmp_path, "quoted.jsonl", [(config, self._preds(gold, 3))], gold)
+        header, row = csv.reader(io.StringIO(aggregate(store, gold, RADIOLOGY_SCHEMA,
+                                                       [config]).to_csv()))
+        assert len(row) == len(header)
+        assert row[header.index("model_name")] == 'llama3:8b,q4 "x"'
 
     def test_record_seed_stable(self):
         assert record_seed(1, "r1") == record_seed(1, "r1")
@@ -915,6 +926,15 @@ class _ScaledEmbedder:
         return 2.0 * MockHashEmbedder().embed(texts)
 
 
+class _OverflowEmbedder:
+    """A last row whose sum of squares is beyond float range."""
+
+    def embed(self, texts):
+        rows = MockHashEmbedder().embed(texts).tolist()
+        rows[-1] = [1.3e154] * len(rows[-1])
+        return rows
+
+
 class _BuggyEmbedder:
     def embed(self, texts):
         raise ValueError("a programming error")
@@ -986,6 +1006,13 @@ class TestPairExceptions:
         store = self._sweep(tmp_path, reports, oracle_backends, embedder=_ScaledEmbedder())
         self._assert_rag_pairs_errored(store, gold, VectorIndexError.__name__)
         assert any("unit-normalized" in (r.error or "") for r in store.records)
+
+    def test_overflowing_embedding_row_is_stored_by_class(self, tmp_path, radiology_corpus,
+                                                          oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        store = self._sweep(tmp_path, reports, oracle_backends, embedder=_OverflowEmbedder())
+        self._assert_rag_pairs_errored(store, gold, VectorIndexError.__name__)
 
     def test_nan_embedding_over_the_wire_is_stored_as_an_error(self, tmp_path,
                                                               radiology_corpus):
