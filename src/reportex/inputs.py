@@ -3,7 +3,9 @@
 an int passes as a float, NaN and ±Infinity are refused, a string holding a
 lone surrogate (which UTF-8 cannot encode) is refused, and numbers pass
 through unconverted. A mismatch raises InputError worded
-`<key.path> must be <expected>, not <actual type>`.
+`<key.path> must be <expected>, not <actual type>`. Each kind's typing shape
+(origin and arguments) is worked out once, and a plain string, bool or float
+that fits its field is returned before any dispatch.
 """
 
 from __future__ import annotations
@@ -59,27 +61,36 @@ def from_json(cls, value, what: str = "", closed: bool = False):
     return cls(**check_object(value, dataclass_fields(cls), what, closed))
 
 
+@cache
+def _shape(kind) -> tuple:
+    return typing.get_origin(kind), typing.get_args(kind)
+
+
 def _value(value, kind, path: str, closed: bool):
+    if type(value) is kind and (kind is bool or kind is str and not _SURROGATE.search(value)
+                                or kind is float and math.isfinite(value)):
+        return value
     if isinstance(kind, tuple):
         return check_object(value, kind, closed=closed, path=path)
     if dataclasses.is_dataclass(kind):
         return kind(**check_object(value, dataclass_fields(kind), closed=closed, path=path))
-    if typing.get_origin(kind) is dict and isinstance(value, dict):
-        item = typing.get_args(kind)[1]
-        return {k: _value(v, item, f"{path}.{k}", closed) for k, v in value.items()}
+    origin, args = _shape(kind)
+    if origin is dict and isinstance(value, dict):
+        return {k: _value(v, args[1], f"{path}.{k}", closed) for k, v in value.items()}
     if not _fits(value, kind):
         raise _mismatch(path, kind, value)
     if value is None:
         return None
-    if typing.get_origin(kind) in (typing.Union, types.UnionType):
-        kind = typing.get_args(kind)[0]  # the X of X | None
-    if typing.get_origin(kind) is tuple:
+    if origin in (typing.Union, types.UnionType):
+        kind = args[0]  # the X of X | None
+        origin = _shape(kind)[0]
+    if origin is tuple:
         return tuple(value)
     return kind(value) if isinstance(kind, EnumMeta) else value
 
 
 def _fits(value, kind) -> bool:
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    origin, args = _shape(kind)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
     if origin is tuple:  # tuple[X, ...], a JSON list
@@ -99,7 +110,7 @@ _NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or 
 
 
 def _describe(kind) -> str:
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    origin, args = _shape(kind)
     if origin in (typing.Union, types.UnionType):
         return " or ".join(map(_describe, args))
     if origin is tuple:
@@ -111,6 +122,7 @@ def _describe(kind) -> str:
 
 def _mismatch(path: str, kind, value) -> InputError:
     expected = _describe(kind)
+    origin, args = _shape(kind)
     if value is None:
         actual = "null"
     elif isinstance(value, float) and not math.isfinite(value):
@@ -119,9 +131,8 @@ def _mismatch(path: str, kind, value) -> InputError:
         actual = repr(value)  # a string outside an Enum
     elif isinstance(value, str) and _SURROGATE.search(value):
         actual = "a string holding a lone surrogate"
-    elif isinstance(value, list) and typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        actual = "a list holding " + next(type(v).__name__ for v in value if not _fits(v, item))
+    elif isinstance(value, list) and origin is tuple:
+        actual = "a list holding " + next(type(v).__name__ for v in value if not _fits(v, args[0]))
     else:
         actual = type(value).__name__
     return InputError(f"{path} must be {expected}, not {actual}" if path

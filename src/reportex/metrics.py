@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import LabelSchema
 from .postprocess import ParsedLabel
@@ -211,13 +211,7 @@ class StatTestResult:
     n: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "n": list(self.n),
-        }
+        return {**asdict(self), "n": list(self.n)}
 
 
 def _check_sample(x, min_n: int, name: str) -> list[float]:

@@ -13,7 +13,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -126,18 +126,12 @@ class ExtractionRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "report_id": self.report_id,
-            "config_hash": self.config_hash,
-            "raw_output": self.raw_output,
-            "parsed": self.parsed.to_dict(),
-            "rag_used": self.rag_used,
-            "rerank_score": self.rerank_score,
-            "latency_ms": self.latency_ms,
-            "timestamp": self.timestamp,
-        }
-        if self.error is not None:
-            d["error"] = self.error
+        """The store line: every field in declaration order, `parsed` in its JSON
+        form, and `error` only on a failed pair."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["parsed"] = self.parsed.to_dict()
+        if self.error is None:
+            del d["error"]
         return d
 
     @classmethod
@@ -451,19 +445,11 @@ class AxisComparison:
     paired: StatTestResult | None
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "value_on": self.value_on,
-            "value_off": self.value_off,
-            "per_model": {
-                m: {"acc_on": a, "acc_off": b, "delta": d}
-                for m, (a, b, d) in self.per_model.items()
-            },
-            "mean_delta": self.mean_delta,
-            "sd_delta": self.sd_delta,
-            "outcome": self.outcome,
-            "paired_t": self.paired.to_dict() if self.paired else None,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "paired"}
+        d["per_model"] = {m: {"acc_on": a, "acc_off": b, "delta": delta}
+                          for m, (a, b, delta) in self.per_model.items()}
+        d["paired_t"] = self.paired.to_dict() if self.paired else None
+        return d
 
 
 @dataclass

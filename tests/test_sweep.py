@@ -5,6 +5,7 @@ import json
 import math
 import threading
 import time
+from dataclasses import dataclass
 from importlib import resources
 
 import pytest
@@ -20,6 +21,7 @@ from reportex.corpus import (
     default_corpus_spec,
     generate_synthetic_corpus,
 )
+from reportex.inputs import from_json
 from reportex.lm_client import GenerationResponse, TransportError
 from reportex.metrics import compute_metrics, confusion
 from reportex.mock_server import MockLmServer, MockMode, MockModel
@@ -315,6 +317,20 @@ class TestResultStore:
         assert [r.to_dict() for r in store.records] == [
             ExtractionRecord.from_dict(line).to_dict() for line in lines]
         assert store.records[1].error == "TransportError: x"
+
+    def test_line_carries_every_field_of_the_record_class(self, tmp_path):
+        # The store line is written from the dataclass's fields, as from_json reads it,
+        # so a field a record class gains reaches the line with no key list to edit.
+        @dataclass(frozen=True)
+        class TaggedRecord(ExtractionRecord):
+            tag: str = ""
+
+        record = TaggedRecord("r1", "c1", '{"score": "2"}', ParsedLabel.valid("2"),
+                              False, None, 1.0, 0.0, tag="t")
+        assert record.to_dict()["tag"] == "t"
+        path = tmp_path / "store.jsonl"
+        ResultStore.open(path).append(record)
+        assert from_json(TaggedRecord, json.loads(path.read_text())) == record
 
     def test_line_separators_inside_strings_round_trip(self, tmp_path):
         # JSON leaves U+2028, U+2029 and U+0085 unescaped, and str.splitlines splits at them.
