@@ -1,9 +1,9 @@
 """Command-line entry point: corpus generation, single extraction, sweeps, reports.
 
-Exit codes: 0 success, 2 usage error or a malformed or invalid input file,
-3 backend error, 4 incomplete data. An invalid extraction is data, not a
-failure (exit 0); `extract` exits 3 when the pair failed, that is when its
-record carries an error.
+Exit codes: 0 success, 2 usage error, a malformed or invalid input file or an
+output path that cannot be written, 3 backend error, 4 incomplete data. An
+invalid extraction is data, not a failure (exit 0); `extract` exits 3 when the
+pair failed, that is when its record carries an error.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _unwritable(path: str, e: OSError) -> int:
+    return _fail(EXIT_CONFIG, f"{path}: cannot write ({e.strerror or e})")
+
+
 # A spec file names the task; each other CorpusSpec field it sets overrides
 # the task's default, and keys that are not spec fields are ignored.
 _SPEC_FIELDS = tuple((name, kind, name == "task") for name, kind, _ in dataclass_fields(CorpusSpec))
@@ -59,9 +63,12 @@ def cmd_generate_corpus(args) -> int:
             given["seed"] = args.seed
         spec = replace(default_corpus_spec(given["task"], n_reports=1000, seed=0), **given)
         reports, annotations = corpus_mod.generate_synthetic_corpus(spec)
-        corpus_mod.save_corpus(args.out, reports, annotations)
     except (OSError, ValueError) as e:
         return _fail(EXIT_CONFIG, f"{args.spec}: invalid corpus spec ({e})")
+    try:
+        corpus_mod.save_corpus(args.out, reports, annotations)
+    except OSError as e:
+        return _unwritable(args.out, e)
     counts = Counter(a.label for a in annotations)
     print(f"wrote {len(reports)} reports to {args.out}")
     for label in sorted(counts):
@@ -171,19 +178,16 @@ def cmd_report(args) -> int:
     except (SweepError, MetricsError) as e:  # MetricsError: a label outside the schema
         return _fail(EXIT_CONFIG, str(e))
 
-    csv_text = result.to_csv()
-    if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
-        print(f"wrote {args.csv}")
-    else:
-        print(csv_text, end="")
-
-    comparisons = json.dumps(result.comparisons_json(), indent=2)
-    if args.json:
-        Path(args.json).write_text(comparisons + "\n", encoding="utf-8")
-        print(f"wrote {args.json}")
-    else:
-        print(comparisons)
+    comparisons = json.dumps(result.comparisons_json(), indent=2) + "\n"
+    for path, text in ((args.csv, result.to_csv()), (args.json, comparisons)):
+        if not path:
+            print(text, end="")
+            continue
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as e:
+            return _unwritable(path, e)
+        print(f"wrote {path}")
 
     print(f"\ntop {min(args.top, len(result.rows))} configurations by accuracy, then macro F1:")
     header = f"{'config':18s} {'model':22s} {'accuracy':>9s} {'macro_f1':>9s}"

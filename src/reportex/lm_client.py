@@ -21,8 +21,9 @@ once more on a fresh connection, and that reopening is not a retry. Proxies
 follow the environment as urllib reads it (http_proxy, https_proxy,
 no_proxy): an http request goes to the proxy with the absolute URL as its
 target, an https request through a CONNECT tunnel. Credentials in a proxy
-URL are not sent, and localhost or a loopback IP address is never proxied.
-Each reply is checked in the thread that receives it.
+URL are not sent. A request to localhost or a loopback IP address is never
+proxied and never reads the proxy environment. A request's body is encoded
+once, as GenerationRequest.body; each reply is checked where it arrives.
 
 embed() sends one /api/embeddings request per text, concurrently, through one
 process-wide pool of EMBED_CONCURRENCY threads, made at import and started by
@@ -48,6 +49,7 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 from .inputs import InputError, check_object
@@ -87,6 +89,16 @@ class ProtocolError(LmClientError):
         self.body = body
 
 
+def check_sampling(temperature: float, top_k: int, top_p: float) -> None:
+    """ValueError unless the sampling options are ones a server accepts."""
+    if temperature < 0:
+        raise ValueError("temperature must be >= 0")
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError("top_p must be in (0, 1]")
+
+
 @dataclass(frozen=True)
 class GenerationRequest:
     model: str
@@ -98,12 +110,7 @@ class GenerationRequest:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must be in (0, 1]")
+        check_sampling(self.temperature, self.top_k, self.top_p)
 
     def to_payload(self) -> dict:
         options: dict = {"temperature": self.temperature, "top_k": self.top_k, "top_p": self.top_p}
@@ -113,6 +120,11 @@ class GenerationRequest:
         if self.json_mode:
             payload["format"] = "json"
         return payload
+
+    @cached_property
+    def body(self) -> bytes:
+        """The request's wire bytes, encoded once."""
+        return json.dumps(self.to_payload()).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,8 @@ def _connection(url: str) -> tuple[http.client.HTTPConnection, str]:
     the request target to send on it."""
     parts = urllib.parse.urlsplit(url)
     target = parts.path + (f"?{parts.query}" if parts.query else "")
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if proxy and (_loopback(parts.hostname) or urllib.request.proxy_bypass(parts.netloc)):
+    proxy = None if _loopback(parts.hostname) else urllib.request.getproxies().get(parts.scheme)
+    if proxy and urllib.request.proxy_bypass(parts.netloc):
         proxy = None
     route = (parts.scheme, parts.hostname, parts.port, proxy)
     kept = getattr(_thread, "kept", None)
@@ -215,9 +227,8 @@ _GENERATE_REPLY = (("response", str, True), ("model", str, False))
 _EMBED_REPLY = (("embedding", list, True),)
 
 
-def _post_with_retries(url: str, payload: dict, table) -> dict:
-    """POST `payload` as JSON; the reply's fields, checked against `table`."""
-    body = json.dumps(payload).encode("utf-8")
+def _post_with_retries(url: str, body: bytes, table) -> dict:
+    """POST the JSON `body`; the reply's fields, checked against `table`."""
     last_error: LmClientError | None = None
     for attempt in range(DEFAULT_RETRIES + 1):
         try:
@@ -247,7 +258,7 @@ def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
     """One non-streaming generation call; transient transport failures are retried."""
     url = resolve_endpoint(endpoint) + "/api/generate"
     start = time.perf_counter()
-    data = _post_with_retries(url, request.to_payload(), _GENERATE_REPLY)
+    data = _post_with_retries(url, request.body, _GENERATE_REPLY)
     latency_ms = (time.perf_counter() - start) * 1000.0
     return GenerationResponse(
         raw_text=data["response"],
@@ -258,7 +269,8 @@ def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
 
 def _embedding(url: str, model: str, text: str) -> list[float]:
     """The server's row for `text`, scaled to unit L2 norm; a zero row stays zero."""
-    row = _post_with_retries(url, {"model": model, "prompt": text}, _EMBED_REPLY)["embedding"]
+    body = json.dumps({"model": model, "prompt": text}).encode("utf-8")
+    row = _post_with_retries(url, body, _EMBED_REPLY)["embedding"]
     if not row or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
         raise ProtocolError(200, f"embedding must be a nonempty flat number array: {str(row)[:80]}")
     try:

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .corpus import LabelSchema, Report
 from .inputs import check_object, from_json
-from .lm_client import GenerationRequest, GenerationResponse, LmClientError, generate
+from .lm_client import GenerationRequest, GenerationResponse, LmClientError, check_sampling, generate
 from .metrics import (
     MetricsError,
     MetricsReport,
@@ -88,12 +88,12 @@ class PipelineConfig:
             raise SweepError("param_count_b must be positive")
         if not 3 <= self.quant_bits <= 16:
             raise SweepError("quant_bits must be in 3..16")
-        if self.temperature < 0:
-            raise SweepError("temperature must be >= 0")
-        if self.top_k < 1:
-            raise SweepError("top_k must be >= 1")
-        if not 0.0 < self.top_p <= 1.0:
-            raise SweepError("top_p must be in (0, 1]")
+        try:
+            check_sampling(self.temperature, self.top_k, self.top_p)
+        except ValueError as e:
+            raise SweepError(str(e)) from e
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(self, "_hash", hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16])
 
     def to_dict(self) -> dict:
         return {**asdict(self), "prompt": self.prompt.to_dict()}
@@ -108,9 +108,8 @@ class PipelineConfig:
 
     @property
     def config_hash(self) -> str:
-        """Stable content hash over all fields."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        """Stable content hash over all fields, computed when the config is built."""
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -242,21 +241,18 @@ class PipelineBackends:
 
 def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
                 backends: PipelineBackends, no_timestamps: bool = False,
-                memo: SingleFlightMemo | None = None,
-                config_hash: str | None = None) -> ExtractionRecord:
+                memo: SingleFlightMemo | None = None) -> ExtractionRecord:
     """Run one report through select-context -> prompt -> generate -> parse.
 
     `memo`, shared by the pairs of one sweep, holds each report's retrieval
     context and embeddings, and the response to each distinct generation
-    request, keyed by a digest of its wire payload (model, prompt, options and
-    per-record seed). A pair whose request another pair already sent gets
-    that response, and its record carries that call's `latency_ms`.
-    `config_hash`, when given, is config.config_hash. A backend failure, a
-    reranker failure or embeddings unfit for the index make the pair a failed
-    one: an error record whose `error` names the exception class.
+    request, keyed by a digest of the request's body, its wire bytes (model,
+    prompt, options and per-record seed). A pair whose request another pair
+    already sent gets that response, and its record carries that call's
+    `latency_ms`. A backend failure, a reranker failure or embeddings unfit
+    for the index make the pair a failed one: an error record whose `error`
+    names the exception class.
     """
-    if config_hash is None:
-        config_hash = config.config_hash
     if memo is None:
         memo = SingleFlightMemo()
     try:
@@ -273,13 +269,12 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
             seed=record_seed(config.seed, report.id),
         )
         # Key on a digest, not the request, so the memo does not keep every prompt alive.
-        payload = json.dumps(request.to_payload()).encode("utf-8")
-        response = memo.get(("generate", hashlib.blake2b(payload, digest_size=16).digest()),
+        response = memo.get(("generate", hashlib.blake2b(request.body, digest_size=16).digest()),
                             lambda: backends.generate(request))
         parsed = parse_label(response.raw_text, schema)
         return ExtractionRecord(
             report_id=report.id,
-            config_hash=config_hash,
+            config_hash=config.config_hash,
             raw_output=response.raw_text,
             parsed=parsed,
             rag_used=context.rag_used,
@@ -290,7 +285,7 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
     except (LmClientError, RerankError, VectorIndexError) as e:
         return ExtractionRecord(
             report_id=report.id,
-            config_hash=config_hash,
+            config_hash=config.config_hash,
             raw_output="",
             parsed=ParsedLabel.invalid(InvalidReason.EMPTY),
             rag_used=False,
@@ -373,14 +368,16 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     """Run every (report, config) pair not already in the store.
 
     A config whose prompt strategy the schema cannot render raises PromptError
-    before any pair runs. Workers run extractions concurrently (bounded pool);
-    only this thread appends to the store, one durable record per completed
-    pair. Backend failures become invalid records; any exception that stops
-    the sweep cancels the queued pairs. Interrupted sweeps resume by skipping
-    completed pairs.
+    before any pair runs, and a store path that cannot be appended to raises
+    SweepError; the store file exists once that check passes. Workers run
+    extractions concurrently (bounded pool); only this thread appends to the
+    store, one durable record per completed pair. Backend failures become
+    invalid records; any exception that stops the sweep cancels the queued
+    pairs. Interrupted sweeps resume by skipping completed pairs.
 
-    Each distinct generation request is sent once per call and its response
-    shared by every pair that sends the same bytes, such as retrieval modes
+    Pairs are keyed by the hash each config computed when it was built. Each
+    distinct generation request is sent once per call and its response shared
+    by every pair whose request has the same body, such as retrieval modes
     that select the same context. This assumes a server that answers a seeded
     request the same way each time; configs that differ in `seed` send
     different requests. A shared record carries the first call's `latency_ms`;
@@ -390,27 +387,26 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     if parallelism < 1:
         raise SweepError("parallelism must be >= 1")
     check_strategies(schema, [c.prompt for c in configs])
-    store = ResultStore.open(store_path)
     if backends is None:
         embed_models = {c.retrieval.embed_model for c in configs}
         if len(embed_models) > 1:
             raise SweepError("a single sweep cannot mix embed_model values without injected backends")
         backends = PipelineBackends.remote(endpoint, embed_model=embed_models.pop())
-    pending = [
-        (report, config, config_hash)
-        for config, config_hash in ((c, c.config_hash) for c in configs)
-        for report in reports
-        if (report.id, config_hash) not in store
-    ]
+    try:
+        store = ResultStore.open(store_path)
+        open(store.path, "ab").close()  # a store that cannot take appends fails before any pair
+    except OSError as e:
+        raise SweepError(f"{store_path}: cannot append to the result store ({e.strerror or e})") from e
+    pending = [(report, config) for config in configs for report in reports
+               if (report.id, config.config_hash) not in store]
     # One memo per call: every run pays for its own embeddings and generations,
     # and concurrent pairs wait for a single computation of what they share.
     memo = SingleFlightMemo()
     done = 0
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         futures = [
-            pool.submit(extract_one, report, schema, config, backends,
-                        no_timestamps, memo, config_hash)
-            for report, config, config_hash in pending
+            pool.submit(extract_one, report, schema, config, backends, no_timestamps, memo)
+            for report, config in pending
         ]
         # Consume in submission order: the store stays deterministic under a
         # deterministic backend, and a crash only loses work that resume recomputes.

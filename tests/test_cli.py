@@ -577,6 +577,60 @@ class TestSweepAndReport:
         assert accuracies == sorted(accuracies, reverse=True)
 
 
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 with one line naming it."""
+
+    def _sweep(self, corpus_files, store):
+        return main(["sweep", "--grid", corpus_files["grid"], "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", "http://127.0.0.1:9", "--no-timestamps"])
+
+    @staticmethod
+    def _one_error_naming(capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_sweep_store_in_missing_directory_exit_2(self, corpus_files, tmp_path, capsys,
+                                                     monkeypatch):
+        # a closed port and no retries: a pair that ran would reach the append and crash
+        monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRIES", 0)
+        store = tmp_path / "nodir" / "store.jsonl"
+        assert self._sweep(corpus_files, store) == 2
+        self._one_error_naming(capsys, store)
+        assert not store.parent.exists()
+
+    def test_sweep_store_that_is_a_directory_exit_2(self, corpus_files, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRIES", 0)
+        assert self._sweep(corpus_files, tmp_path) == 2
+        self._one_error_naming(capsys, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option", ["--csv", "--json"])
+    def test_report_output_in_missing_directory_exit_2(self, corpus_files, tmp_path, capsys,
+                                                       option):
+        store = tmp_path / "store.jsonl"
+        assert main(["sweep", "--grid", corpus_files["grid"], "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"], "--no-timestamps"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "nodir" / "x.out"
+        assert main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--grid", corpus_files["grid"],
+                     option, str(out)]) == 2
+        self._one_error_naming(capsys, out)
+
+    def test_generate_corpus_out_in_missing_directory_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"task": "radiology", "n_reports": 5, "seed": 3}))
+        out = tmp_path / "nodir" / "c.jsonl"
+        assert main(["generate-corpus", "--spec", str(spec), "--out", str(out)]) == 2
+        err = self._one_error_naming(capsys, out)
+        assert "invalid corpus spec" not in err
+
+
 class TestMalformedInputFiles:
     """Corpus and schema files that parse as JSON but have the wrong shape."""
 

@@ -35,7 +35,7 @@ from reportex.mock_server import (
     load_malformed_templates,
 )
 from reportex.retrieval import MockHashEmbedder
-from reportex.sweep import record_seed
+from reportex.sweep import PipelineConfig, record_seed, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +391,54 @@ def _serving(handler):
     return httpd
 
 
+class _RecordingHandler(BaseHTTPRequestHandler):
+    """Records each raw request body and answers every generate alike."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.server.bodies.append(self.rfile.read(int(self.headers["Content-Length"])))
+        body = json.dumps({"model": "m", "response": '{"score": "2"}'}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestRequestBody:
+    def test_generate_posts_the_request_body(self):
+        httpd = _serving(_RecordingHandler)
+        httpd.bodies = []
+        request = GenerationRequest("m", "caf\u00e9 \u2028", json_mode=True, seed=7)
+        try:
+            generate("http://%s:%d" % httpd.server_address[:2], request)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert httpd.bodies == [request.body]
+        assert json.loads(request.body) == request.to_payload()
+
+    def test_configs_with_equal_request_bodies_send_one_request(self, corpus, tmp_path):
+        reports, _ = corpus
+        httpd = _serving(_RecordingHandler)
+        httpd.bodies = []
+        # quant_bits is not part of the request: both configs send the same bytes
+        configs = [PipelineConfig(model_name="m", quant_bits=4),
+                   PipelineConfig(model_name="m", quant_bits=8)]
+        try:
+            store = run_sweep(reports[:1], configs, "http://%s:%d" % httpd.server_address[:2],
+                              tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, no_timestamps=True)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert len(store) == 2 and {r.error for r in store.records} == {None}
+        assert len(httpd.bodies) == 1
+        assert json.loads(httpd.bodies[0])["options"]["seed"] == record_seed(0, reports[0].id)
+
+
 class TestConnections:
     def test_serial_calls_and_an_embed_reuse_connections(self, corpus, monkeypatch):
         reports, annotations = corpus
@@ -466,6 +514,18 @@ class TestConnections:
         finally:
             proxy.shutdown()
             proxy.server_close()
+
+    def test_loopback_request_does_not_read_the_proxy_environment(self, oracle_server,
+                                                                  monkeypatch):
+        server, reports, gold = oracle_server
+
+        def no_lookup():
+            raise AssertionError("proxy environment read for a loopback server")
+
+        monkeypatch.setattr(lm_client.urllib.request, "getproxies", no_lookup)
+        resp = generate(server.endpoint, GenerationRequest("m", reports[0].text))
+        assert json.loads(resp.raw_text) == {"score": gold[reports[0].id]}
+        assert len(embed(server.endpoint, "gte-large", _texts(3))) == 3
 
     def test_listen_queue_takes_a_burst_of_connects(self):
         server = MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA))

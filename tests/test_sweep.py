@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import io
@@ -5,7 +6,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import pytest
@@ -206,6 +207,34 @@ class TestConfigHash:
     def test_few_shot_hash_pinned(self):
         config = _config(prompt=PromptStrategy(PromptStyle.SIMPLE, FewShot.POSITIVE, False))
         assert config.config_hash == "57377ded915146af"
+
+
+class TestConfigIdentity:
+    def test_replace_gets_its_own_hash(self):
+        config = _config()
+        changed = replace(config, temperature=0.5)
+        assert changed.config_hash != config.config_hash
+        assert changed.config_hash == _config(temperature=0.5).config_hash
+        assert replace(changed, temperature=0.0).config_hash == config.config_hash
+
+    def test_equal_configs_equal_hashes(self):
+        a = _config(retrieval=RetrievalSettings(mode="hybrid"), seed=3)
+        b = PipelineConfig.from_dict(json.loads(json.dumps(a.to_dict())))
+        assert a == b and a is not b
+        assert a.config_hash == b.config_hash == copy.deepcopy(a).config_hash
+        canonical = json.dumps(a.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert a.config_hash == hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("temperature", -0.1, "temperature must be >= 0"),
+        ("top_k", 0, "top_k must be >= 1"),
+        ("top_p", 0.0, "top_p must be in (0, 1]"),
+        ("top_p", 1.5, "top_p must be in (0, 1]"),
+    ])
+    def test_sampling_limits_raise_sweep_error(self, field, value, message):
+        with pytest.raises(SweepError) as exc:
+            _config(**{field: value})
+        assert str(exc.value) == message
 
 
 class TestResultStore:
