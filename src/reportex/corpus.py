@@ -267,7 +267,9 @@ def generate_synthetic_corpus(spec: CorpusSpec) -> tuple[list[Report], list[Gold
             sentences.insert(rng.randrange(len(sentences) + 1), answer_sentence(spec.task, label))
         if rng.random() < spec.distractor_rate:
             sentences.insert(rng.randrange(len(sentences) + 1), distractor_sentence(spec.task))
-        report = make_report(f"{prefix}-{i:06d}", spec.task, " ".join(sentences))
+        # Single-spaced by construction: vocab words, labels and templates hold
+        # no whitespace runs, so make_report's normalize_text would change nothing.
+        report = Report(f"{prefix}-{i:06d}", schema.task, " ".join(sentences))
         reports.append(report)
         annotations.append(GoldAnnotation(report.id, label))
     return reports, annotations

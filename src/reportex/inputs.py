@@ -3,9 +3,9 @@
 an int passes as a float, NaN and ±Infinity are refused, a string holding a
 lone surrogate (which UTF-8 cannot encode) is refused, and numbers pass
 through unconverted. A mismatch raises InputError worded
-`<key.path> must be <expected>, not <actual type>`. Each kind's typing shape
-(origin and arguments) is worked out once, and a plain string, bool or float
-that fits its field is returned before any dispatch.
+`<key.path> must be <expected>, not <actual type>`. Each field type is read
+once, into its wording, its test and its conversion: a value that fits costs
+one test, and the wording is used only to word a mismatch.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def check_object(value, table: tuple[Field, ...], what: str = "", closed: bool =
                          f"not {unknown[0]!r}")
     for name, kind, required in table:
         if required and name not in value:
-            raise InputError(f"{prefix + name} must be {_describe(kind)}, not missing")
+            raise InputError(f"{prefix + name} must be {_reading(kind)[0]}, not missing")
     return {name: _value(value[name], kind, prefix + name, closed)
             for name, kind, _ in table if name in value}
 
@@ -61,68 +61,64 @@ def from_json(cls, value, what: str = "", closed: bool = False):
     return cls(**check_object(value, dataclass_fields(cls), what, closed))
 
 
-@cache
-def _shape(kind) -> tuple:
-    return typing.get_origin(kind), typing.get_args(kind)
-
-
 def _value(value, kind, path: str, closed: bool):
-    if type(value) is kind and (kind is bool or kind is str and not _SURROGATE.search(value)
-                                or kind is float and math.isfinite(value)):
-        return value
-    if isinstance(kind, tuple):
-        return check_object(value, kind, closed=closed, path=path)
-    if dataclasses.is_dataclass(kind):
-        return kind(**check_object(value, dataclass_fields(kind), closed=closed, path=path))
-    origin, args = _shape(kind)
-    if origin is dict and isinstance(value, dict):
-        return {k: _value(v, args[1], f"{path}.{k}", closed) for k, v in value.items()}
-    if not _fits(value, kind):
+    _, test, convert = _reading(kind)
+    if not test(value):
         raise _mismatch(path, kind, value)
-    if value is None:
-        return None
-    if origin in (typing.Union, types.UnionType):
-        kind = args[0]  # the X of X | None
-        origin = _shape(kind)[0]
-    if origin is tuple:
-        return tuple(value)
-    return kind(value) if isinstance(kind, EnumMeta) else value
+    return value if convert is None or value is None else convert(value, path, closed)
 
 
-def _fits(value, kind) -> bool:
-    origin, args = _shape(kind)
+_PLAIN = {
+    str: ("a string", lambda v: isinstance(v, str) and not _SURROGATE.search(v)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("a JSON object", lambda v: isinstance(v, dict)),
+    object: ("a JSON value", lambda v: True),
+    type(None): ("null", lambda v: v is None),
+}
+
+
+@cache
+def _reading(kind) -> tuple:
+    """(wording, test, convert) for a field type. `test` tells whether a decoded
+    JSON value fits it; `convert(value, path, closed)`, where not None, builds
+    the field's value from a value that fits and is not null."""
+    if kind in _PLAIN:
+        return (*_PLAIN[kind], None)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, a) for a in args)
+        arms = [_reading(arm) for arm in args]
+        tests = [test for _, test, _ in arms]
+        # a value that is not null is converted as the X of X | None
+        return (" or ".join(wording for wording, _, _ in arms),
+                lambda v: any(test(v) for test in tests), arms[0][2])
     if origin is tuple:  # tuple[X, ...], a JSON list
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+        wording, test, _ = _reading(args[0])
+        return (f"a list of {wording.split(' ', 1)[1]}s",
+                lambda v: isinstance(v, list) and all(map(test, v)), lambda v, *_: tuple(v))
     if isinstance(kind, EnumMeta):
-        return isinstance(value, str) and value in [m.value for m in kind]
-    if kind is int or kind is float:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return number and (isinstance(value, int) or kind is float and math.isfinite(value))
-    if kind is str:
-        return isinstance(value, str) and not _SURROGATE.search(value)
-    return kind is object or (kind in _NAMES and isinstance(value, kind))
+        values = [m.value for m in kind]
+        return ("one of " + ", ".join(map(repr, values)),
+                lambda v: isinstance(v, str) and v in values, lambda v, *_: kind(v))
+    if isinstance(kind, tuple):  # a nested field table
+        def convert(v, path, closed):
+            return check_object(v, kind, closed=closed, path=path)
+    elif dataclasses.is_dataclass(kind):
+        table = dataclass_fields(kind)
 
-
-_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
-          list: "a list", dict: "a JSON object", object: "a JSON value", type(None): "null"}
-
-
-def _describe(kind) -> str:
-    origin, args = _shape(kind)
-    if origin in (typing.Union, types.UnionType):
-        return " or ".join(map(_describe, args))
-    if origin is tuple:
-        return f"a list of {_describe(args[0]).split(' ', 1)[1]}s"
-    if isinstance(kind, EnumMeta):
-        return "one of " + ", ".join(repr(m.value) for m in kind)
-    return _NAMES.get(kind, "a JSON object")
+        def convert(v, path, closed):
+            return kind(**check_object(v, table, closed=closed, path=path))
+    else:  # dict[str, X]
+        def convert(v, path, closed):
+            return {k: _value(x, args[1], f"{path}.{k}", closed) for k, x in v.items()}
+    return (*_PLAIN[dict], convert)
 
 
 def _mismatch(path: str, kind, value) -> InputError:
-    expected = _describe(kind)
-    origin, args = _shape(kind)
+    expected = _reading(kind)[0]
     if value is None:
         actual = "null"
     elif isinstance(value, float) and not math.isfinite(value):
@@ -131,8 +127,9 @@ def _mismatch(path: str, kind, value) -> InputError:
         actual = repr(value)  # a string outside an Enum
     elif isinstance(value, str) and _SURROGATE.search(value):
         actual = "a string holding a lone surrogate"
-    elif isinstance(value, list) and origin is tuple:
-        actual = "a list holding " + next(type(v).__name__ for v in value if not _fits(v, args[0]))
+    elif isinstance(value, list) and typing.get_origin(kind) is tuple:
+        test = _reading(typing.get_args(kind)[0])[1]
+        actual = "a list holding " + next(type(v).__name__ for v in value if not test(v))
     else:
         actual = type(value).__name__
     return InputError(f"{path} must be {expected}, not {actual}" if path

@@ -201,12 +201,18 @@ class _Handler(BaseHTTPRequestHandler):
             except json.JSONDecodeError:
                 self._send(400, {"error": "invalid JSON body"})
                 return
-            if self.path == "/api/generate":
-                self._send(200, self.server.model.complete(payload))  # type: ignore[attr-defined]
-            elif self.path == "/api/embeddings":
-                self._send(200, self.server.model.embeddings(payload))  # type: ignore[attr-defined]
-            else:
+            model = self.server.model  # type: ignore[attr-defined]
+            answer = {"/api/generate": model.complete,
+                      "/api/embeddings": model.embeddings}.get(self.path)
+            if answer is None:
                 self._send(404, {"error": f"unknown path {self.path}"})
+                return
+            try:
+                reply = answer(payload)
+            except Exception as e:  # a failing model is the server's error, as on a real server
+                self._send(500, {"error": f"{type(e).__name__}: {e}"})
+                return
+            self._send(200, reply)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client vanished mid-request (e.g. killed sweep process)
 

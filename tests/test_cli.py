@@ -20,7 +20,8 @@ from reportex.corpus import (
 from reportex.mock_server import MockLmServer, MockMode, MockModel
 from reportex.prompting import FewShot, PromptStrategy
 from reportex.retrieval import RetrievalSettings
-from reportex.sweep import PipelineConfig
+from reportex.postprocess import ParsedLabel
+from reportex.sweep import ExtractionRecord, PipelineConfig, SweepGrid, enumerate_configs
 
 
 @pytest.fixture(scope="module")
@@ -535,6 +536,33 @@ class TestSweepAndReport:
                      "--schema", corpus_files["schema"], "--grid", corpus_files["grid"]]) == 4
         err = capsys.readouterr().err
         assert err == "error: store holds no record for any requested config\n"
+
+    def test_compare_axis_with_three_values_exit_2(self, corpus_files, tmp_path, capsys):
+        grid = tmp_path / "three_grid.json"
+        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj["axes"] = {"top_k": [2, 5, 40]}
+        grid.write_text(json.dumps(grid_obj))
+        store = tmp_path / "three.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"], "--no-timestamps"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--grid", str(grid),
+                     "--compare", "top_k"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: axis 'top_k' must take exactly 2 values in the store, got 3\n"
+
+    def test_stored_report_without_gold_label_exit_2(self, corpus_files, tmp_path, capsys):
+        grid = SweepGrid.from_file(corpus_files["grid"])
+        store = tmp_path / "ghost.jsonl"
+        store.write_text("".join(
+            json.dumps(ExtractionRecord("ghost", config.config_hash, "", ParsedLabel.valid("2"),
+                                        False).to_dict()) + "\n"
+            for config in enumerate_configs(grid)))
+        assert main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--grid", corpus_files["grid"]]) == 2
+        assert capsys.readouterr().err == "error: no gold label for report ids: ['ghost']\n"
 
     def test_schema_without_exemplar_labels_exit_2(self, corpus_files, tmp_path, capsys):
         schema, _, grid = _few_shot_files(tmp_path)

@@ -133,6 +133,14 @@ class TestSyntheticCorpus:
             if gold[r.id] != "NR":
                 assert f"IDH1/IDH2 mutation status: {gold[r.id]}" in r.text
 
+    @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+    def test_generated_text_is_already_normalized(self, task):
+        # generate_synthetic_corpus builds its reports without normalize_text
+        spec = default_corpus_spec(task, 40, seed=11)
+        reports, _ = generate_synthetic_corpus(spec)
+        assert all(r.text == normalize_text(r.text) for r in reports)
+        assert {r.task for r in reports} == {task}
+
     def test_length_floor(self):
         spec = CorpusSpec(Task.RADIOLOGY, 40, dict(RADIOLOGY_DISTRIBUTION), 35, 60, 0.0, 5)
         reports, _ = generate_synthetic_corpus(spec)

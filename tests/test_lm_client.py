@@ -1,3 +1,4 @@
+import http.client
 import json
 import math
 import os
@@ -126,7 +127,37 @@ class _NotJsonHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _FailingModel(MockModel):
+    """Mock whose embeddings raise, as the mock's do where numpy is not installed."""
+
+    def __init__(self):
+        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)
+
+    def embeddings(self, payload):
+        raise ModuleNotFoundError("No module named 'numpy'")
+
+
 class TestErrorMapping:
+    def test_failing_model_is_protocol_error_500_at_once(self):
+        with MockLmServer(_FailingModel()) as server:
+            with pytest.raises(ProtocolError) as info:
+                embed(server.endpoint, "m", ["a", "b"])
+        assert info.value.status == 500
+        assert json.loads(info.value.body) == {
+            "error": "ModuleNotFoundError: No module named 'numpy'"}
+
+    def test_mock_answers_a_body_that_is_not_json_with_400(self, oracle_server):
+        server, _, _ = oracle_server
+        conn = http.client.HTTPConnection(*server._httpd.server_address[:2], timeout=5)
+        try:
+            conn.request("POST", "/api/generate", b"{not json",
+                         {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read()) == {"error": "invalid JSON body"}
+        finally:
+            conn.close()
+
     def test_unknown_path_is_protocol_error_404(self, oracle_server):
         server, _, _ = oracle_server
         with pytest.raises(ProtocolError) as info:
@@ -464,6 +495,38 @@ class TestConnections:
         finally:
             httpd.shutdown()
             httpd.server_close()
+
+    def test_reset_on_a_fresh_connection_is_raised_not_sent_again(self, monkeypatch):
+        # only a kept connection gets the silent resend of _post
+        monkeypatch.setattr(lm_client, "DEFAULT_RETRIES", 0)
+        accepted = []
+        done = threading.Event()
+        with socket.socket() as listener:  # closes each connection at once
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(8)
+            listener.settimeout(0.05)
+
+            def serve():
+                while not done.is_set():
+                    try:
+                        conn, _ = listener.accept()
+                    except TimeoutError:
+                        continue
+                    accepted.append(conn.getpeername())
+                    conn.close()
+
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            try:
+                host, port = listener.getsockname()
+                with pytest.raises(TransportError):
+                    generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
+                time.sleep(0.2)  # a resend would connect within this
+            finally:
+                done.set()
+                thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len(accepted) == 1
 
     def test_stop_closes_open_connections(self, oracle_server, monkeypatch):
         monkeypatch.setattr(lm_client, "DEFAULT_RETRIES", 0)

@@ -94,6 +94,13 @@ class TestSplitRecursive:
                 covered.update(range(c.start, c.end))
             assert covered == set(range(len(text)))
 
+    def test_token_longer_than_a_chunk_is_cut_hard(self):
+        text = "x" * 100
+        chunks = split_recursive(text, 30, 8)
+        assert [(c.start, c.end) for c in chunks] == [(0, 30), (22, 52), (44, 74), (66, 96),
+                                                      (88, 100)]
+        assert set().union(*(range(c.start, c.end) for c in chunks)) == set(range(100))
+
     def test_overlap_reconstruction(self):
         rng = random.Random(3)
         for _ in range(50):

@@ -156,6 +156,15 @@ class TestEnumerateConfigs:
         with pytest.raises(SweepError):
             enumerate_configs(SweepGrid(base=_config(), axes={"quant_bits": [99]}))
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"temperature.x": [1]}, "unknown axis 'temperature.x'"),
+        ({"top_k": []}, "axis 'top_k' must map to a nonempty value list"),
+        ({"top_k": [2, 2]}, "grid produces duplicate configurations"),
+    ], ids=["dotted-through-a-number", "no-values", "duplicate-values"])
+    def test_malformed_axes_rejected(self, axes, message):
+        with pytest.raises(SweepError, match=f"^{message}$"):
+            enumerate_configs(SweepGrid(base=_config(), axes=axes))
+
     def test_deterministic_order(self):
         grid = SweepGrid(base=_config(), axes={"top_k": [5, 2], "temperature": [0.1, 0.0]})
         configs = enumerate_configs(grid)
@@ -581,6 +590,24 @@ class TestAggregate:
         cmp = result.comparisons[0]
         assert cmp.mean_delta == 0.0
         assert cmp.outcome == "no_difference"
+
+    def test_equal_nonzero_deltas_are_a_uniform_delta(self, tmp_path):
+        gold = self._gold(4)
+        configs = [_config(model_name=m, top_k=k)
+                   for m, k in [("alpha", 2), ("alpha", 5), ("beta", 2), ("beta", 5), ("gamma", 2)]]
+        store = _store_with(tmp_path, "uniform.jsonl", [
+            (configs[0], self._preds(gold, 1)),
+            (configs[1], self._preds(gold, 3)),
+            (configs[2], self._preds(gold, 2)),
+            (configs[3], self._preds(gold, 4)),
+            (configs[4], self._preds(gold, 4)),  # gamma holds only one of the two values
+        ], gold)
+        result = aggregate(store, gold, RADIOLOGY_SCHEMA, configs, compare_axes=("top_k",))
+        cmp = result.comparisons[0]
+        assert (cmp.value_on, cmp.value_off) == (5, 2)
+        assert cmp.per_model == {"alpha": (0.75, 0.25, 0.5), "beta": (1.0, 0.5, 0.5)}
+        assert (cmp.mean_delta, cmp.sd_delta) == (0.5, 0.0)
+        assert cmp.outcome == "uniform_delta" and cmp.paired is None
 
     def test_monotone_param_correlation_is_one(self, tmp_path):
         gold = self._gold(8)
