@@ -75,15 +75,16 @@ class LabelSchema:
     def __post_init__(self):
         if not self.answer_key:
             raise CorpusError("answer_key must be nonempty")
-        folded = [l.strip().casefold() for l in self.valid_labels]
-        if len(set(folded)) != len(folded):
+        folded = {l.strip().casefold(): l for l in self.valid_labels}
+        if len(folded) != len(self.valid_labels):
             raise CorpusError("valid_labels must be unique after case-folding/trimming")
         if self.nr_label not in self.valid_labels:
             raise CorpusError(f"nr_label {self.nr_label!r} not in valid_labels")
+        object.__setattr__(self, "_folded", folded)
 
     def folded_lookup(self) -> dict[str, str]:
-        """Map case-folded label text to the canonical label spelling."""
-        return {l.strip().casefold(): l for l in self.valid_labels}
+        """Map case-folded label text to the canonical spelling; one shared table, read-only."""
+        return self._folded
 
 
 def save_schema(path, schema: LabelSchema) -> None:
@@ -124,6 +125,10 @@ class CorpusSpec:
     seed: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "task", Task(self.task))
+        except ValueError:
+            raise CorpusError(f"unknown task {self.task!r}") from None
         if self.n_reports < 1:
             raise CorpusError("n_reports must be >= 1")
         if self.length_mean_words <= 0 or self.length_sd_words <= 0:

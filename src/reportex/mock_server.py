@@ -9,9 +9,9 @@ templates) act as a fallback when a selected chunk carries no report-unique
 text. Unknown prompts get a garbage-mode response.
 
 The constant prompt text must never vote, so every window of it is removed
-from both indexes. That text is taken from `prompting.build_prompt` itself:
-its renders, for an empty context, of each strategy the schema can render.
-Only `prompting` knows the prompt wording and the exemplars.
+from both indexes. That text is `prompting.fixed_text`: the frames that
+`build_prompt` joins each context into, over every strategy the schema can
+render. Only `prompting` knows the prompt wording and the exemplars.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ import socket
 import sys
 import threading
 from collections import Counter
-from contextlib import suppress
 from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
-from itertools import product, starmap
 from typing import Iterator
 
 from .corpus import LabelSchema, Report, answer_sentence
-from .prompting import FewShot, PromptError, PromptStrategy, PromptStyle, build_prompt
-from .retrieval import MockHashEmbedder, RetrievedContext
+from .prompting import fixed_text
+from .retrieval import MockHashEmbedder
 
 _SHINGLE = 16
 
@@ -66,16 +64,6 @@ def _vote(index: dict[bytes, str | None], prompt: str) -> str | None:
     if not votes:
         return None
     return max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
-
-def _static_prompt_text(schema: LabelSchema) -> list[str]:
-    """Every strategy's prompt for an empty context: the text all prompts share."""
-    empty = RetrievedContext("", False, None, ())
-    texts = []
-    for strategy in starmap(PromptStrategy, product(PromptStyle, FewShot, (False, True))):
-        with suppress(PromptError):  # run_sweep and extract refuse it before any request
-            texts.append(build_prompt(empty, schema, strategy))
-    return texts
 
 
 class MockMode(str, Enum):
@@ -128,7 +116,7 @@ class MockModel:
         for label in schema.valid_labels:
             if label != schema.nr_label:
                 _claim(self._label_index, answer_sentence(schema.task, label), label)
-        for text in _static_prompt_text(schema):
+        for text in fixed_text(schema):
             _claim(self._report_index, text, None)
             _claim(self._label_index, text, None)
 

@@ -54,7 +54,7 @@ class ParsedLabel:
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*")
-_CURLY_QUOTES = {"“": '"', "”": '"', "„": '"', "‘": "'", "’": "'", "‚": "'"}
+_CURLY_QUOTES = str.maketrans({"“": '"', "”": '"', "„": '"', "‘": "'", "’": "'", "‚": "'"})
 _SINGLE_QUOTED_RE = re.compile(r"([\{\[,:]\s*)'([^']*)'(?=\s*[:,\}\]])")
 
 
@@ -65,7 +65,7 @@ def clean_artifacts(raw: str) -> str:
     JSON-syntax positions, so prose apostrophes survive.
     """
     s = _FENCE_RE.sub(" ", raw)
-    s = s.translate(str.maketrans(_CURLY_QUOTES))
+    s = s.translate(_CURLY_QUOTES)
     s = " ".join(s.split())
     s = _SINGLE_QUOTED_RE.sub(r'\1"\2"', s)
     return s

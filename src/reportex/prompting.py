@@ -1,12 +1,19 @@
-"""Deterministic prompt construction for the simple/complex and few-shot strategies."""
+"""Deterministic prompt construction for the simple/complex and few-shot strategies.
+
+Each (schema, strategy) pair's frame, the prompt text around the context, is
+rendered once and cached, so each pair of a sweep only joins its context in.
+"""
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from contextlib import suppress
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cache
 from importlib import resources
+from itertools import product, starmap
 
 from .corpus import LabelSchema, Task
 from .retrieval import RetrievedContext
@@ -34,7 +41,8 @@ class PromptStrategy:
     json_instruction: bool = True
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "style": self.style.value, "few_shot": self.few_shot.value}
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v.value if isinstance(v, Enum) else v for name, v in values}
 
 
 @dataclass(frozen=True)
@@ -119,45 +127,53 @@ def _exemplar_block(exemplars: list[FewShotExemplar], schema: LabelSchema,
     return "".join(parts)
 
 
-def build_prompt(context: RetrievedContext, schema: LabelSchema, strategy: PromptStrategy) -> str:
-    """Render the prompt for one context. Pure and deterministic.
-
-    Few-shot strategies put the built-in exemplars of the schema's task before
-    the target report, positives first and the not-reported one last. With
-    json_instruction an output-format instruction is appended.
-    """
-    if strategy.few_shot is FewShot.NONE:
-        chosen: list[FewShotExemplar] = []
-    else:
+@cache
+def _frame(schema: LabelSchema, strategy: PromptStrategy) -> tuple[str, ...]:
+    """The prompt text around each {context} of the strategy's template. Few-shot
+    strategies put the task's built-in exemplars before the report, positives
+    first and the not-reported one last; json_instruction appends an
+    output-format instruction."""
+    chosen: list[FewShotExemplar] = []
+    if strategy.few_shot != FewShot.NONE:
         exemplars = default_exemplars(schema)
-        positives = [e for e in exemplars if e.answer != schema.nr_label]
-        negatives = [e for e in exemplars if e.answer == schema.nr_label]
-        if strategy.few_shot is FewShot.POSITIVE:
-            chosen = positives
-        else:
+        chosen = [e for e in exemplars if e.answer != schema.nr_label]
+        if strategy.few_shot == FewShot.POSITIVE_AND_NEGATIVE:
+            negatives = [e for e in exemplars if e.answer == schema.nr_label]
             if not negatives:
                 raise PromptError("few_shot=positive_and_negative requires a negative exemplar")
-            chosen = positives + negatives
+            chosen += negatives
 
     values = {
         "task": _TASK_PHRASE[schema.task],
         "labels": ", ".join(schema.valid_labels),
         "nr_label": schema.nr_label,
         "answer_key": schema.answer_key,
-        "context": context.selected_text,
         "exemplars": _exemplar_block(chosen, schema, strategy.json_instruction),
     }
-    prompt = _render(_TEMPLATES[strategy.style], values)
+    pieces = [_render(piece, values) for piece in _TEMPLATES[strategy.style].split("{context}")]
     if strategy.json_instruction:
-        prompt += (
-            f'\nReply with exactly one JSON object of the form '
-            f'{{"{schema.answer_key}": "<answer>"}} and no other text.\n'
-        )
-    return prompt
+        pieces[-1] += (f'\nReply with exactly one JSON object of the form '
+                       f'{{"{schema.answer_key}": "<answer>"}} and no other text.\n')
+    return tuple(pieces)
+
+
+def build_prompt(context: RetrievedContext, schema: LabelSchema, strategy: PromptStrategy) -> str:
+    """Render the prompt for one context. Pure and deterministic."""
+    # _render never rescans a value it substituted, so joining the context into
+    # the frame gives the render of the whole template, whatever the context holds.
+    return context.selected_text.join(_frame(schema, strategy))
 
 
 def check_strategies(schema: LabelSchema, strategies) -> None:
     """Raise PromptError if build_prompt cannot render one of `strategies` for `schema`."""
-    empty = RetrievedContext("", False, None, ())
-    for strategy in set(strategies):
-        build_prompt(empty, schema, strategy)
+    for strategy in strategies:
+        _frame(schema, strategy)
+
+
+def fixed_text(schema: LabelSchema) -> list[str]:
+    """Every piece of prompt text but the context, over every strategy `schema` can render."""
+    pieces = []
+    for strategy in starmap(PromptStrategy, product(PromptStyle, FewShot, (False, True))):
+        with suppress(PromptError):  # run_sweep and extract refuse it before any request
+            pieces.extend(_frame(schema, strategy))
+    return pieces

@@ -13,7 +13,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -96,7 +96,10 @@ class PipelineConfig:
         object.__setattr__(self, "_hash", hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16])
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "prompt": self.prompt.to_dict()}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["prompt"] = self.prompt.to_dict()
+        d["retrieval"] = {f.name: getattr(self.retrieval, f.name) for f in fields(self.retrieval)}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

@@ -581,6 +581,27 @@ class TestSweepAndReport:
         assert exc.value.code == 2
         assert "--top: must be >= 0, not -1" in capsys.readouterr().err
 
+    def test_report_top_limits_the_printed_rows(self, corpus_files, tmp_path, capsys):
+        grid = tmp_path / "four.json"
+        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj["axes"] = {"top_k": [2, 10, 20, 40]}
+        grid_obj["sample"] = {"n": 3, "seed": 5}
+        grid.write_text(json.dumps(grid_obj))
+        store = tmp_path / "four.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"], "--no-timestamps"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--grid", str(grid),
+                     "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "top 3 configurations by accuracy, then macro F1:" in out
+        table = out[out.index("top 3 configurations"):].splitlines()
+        assert table[1].split() == ["config", "model", "accuracy", "macro_f1"]
+        assert len(table) == 5  # the title, the header and three rows
+        assert all(row.split()[1] == "mock-7b" for row in table[2:])
+
     def test_report_sort_order(self, corpus_files, tmp_path, capsys):
         # a noisy backend gives each model a different accuracy (per-model rng
         # stream); the plain-text table must come out sorted by accuracy

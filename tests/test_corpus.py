@@ -84,6 +84,11 @@ class TestSchema:
         with pytest.raises(CorpusError):
             LabelSchema(Task.RADIOLOGY, ("A", "a"), "A", "score", "kw")
 
+    def test_nr_label_outside_labels_rejected(self):
+        from reportex.corpus import LabelSchema
+        with pytest.raises(CorpusError, match="nr_label 'none' not in valid_labels"):
+            LabelSchema(Task.RADIOLOGY, ("A", "B"), "none", "score", "kw")
+
 
 class TestCorpusSpec:
     def test_rejects_bad_distribution_sum(self):
@@ -100,6 +105,31 @@ class TestCorpusSpec:
         spec = CorpusSpec(Task.PATHOLOGY, 10, {"positive": 0.5, "bogus": 0.5}, 100, 10, 0.1, 1)
         with pytest.raises(CorpusError):
             generate_synthetic_corpus(spec)
+
+    @pytest.mark.parametrize("n_reports, mean, sd, message", [
+        (0, 265.0, 66.0, "n_reports must be >= 1"),
+        (10, 0.0, 66.0, "length parameters must be positive"),
+        (10, 265.0, -1.0, "length parameters must be positive"),
+    ])
+    def test_rejects_bad_size(self, n_reports, mean, sd, message):
+        with pytest.raises(CorpusError, match=message):
+            CorpusSpec(Task.RADIOLOGY, n_reports, dict(RADIOLOGY_DISTRIBUTION), mean, sd, 0.1, 1)
+
+    @pytest.mark.parametrize("task", list(Task))
+    def test_task_given_as_a_string_generates_the_same_corpus(self, tmp_path, task):
+        by_enum = default_corpus_spec(task, 3, 7)
+        by_string = CorpusSpec(task.value, *[getattr(by_enum, f) for f in (
+            "n_reports", "class_distribution", "length_mean_words", "length_sd_words",
+            "distractor_rate", "seed")])
+        assert by_string == by_enum and by_string.task is task
+        paths = tmp_path / "enum.jsonl", tmp_path / "string.jsonl"
+        for path, spec in zip(paths, (by_enum, by_string)):
+            save_corpus(path, *generate_synthetic_corpus(spec))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(CorpusError, match="unknown task 'bogus'"):
+            CorpusSpec("bogus", 2, dict(RADIOLOGY_DISTRIBUTION), 265.0, 66.0, 0.1, 1)
 
 
 class TestSyntheticCorpus:

@@ -21,6 +21,7 @@ from reportex.corpus import RADIOLOGY_SCHEMA, Task, default_corpus_spec, generat
 from reportex.lm_client import (
     EMBED_CONCURRENCY,
     GenerationRequest,
+    LmClientError,
     ProtocolError,
     RequestTimeout,
     TransportError,
@@ -112,6 +113,12 @@ class TestGenerateWire:
         resp = generate("http://127.0.0.1:9", GenerationRequest("m", reports[0].text))
         assert json.loads(resp.raw_text)["score"] == gold[reports[0].id]
         assert resolve_endpoint(None) == server.endpoint
+
+    def test_no_endpoint_configured(self, monkeypatch):
+        monkeypatch.delenv("EXTRACTOR_LM_ENDPOINT", raising=False)
+        with pytest.raises(LmClientError, match="no endpoint configured and "
+                                                "EXTRACTOR_LM_ENDPOINT is unset"):
+            resolve_endpoint(None)
 
 
 class _NotJsonHandler(BaseHTTPRequestHandler):
@@ -559,6 +566,15 @@ class TestConnections:
         finally:
             proxy.shutdown()
             proxy.server_close()
+
+    def test_https_endpoint_is_tunnelled_through_the_proxy(self, monkeypatch):
+        for var in ("https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("https_proxy", "http://proxy.invalid:3128")
+        conn, target = lm_client._connection("https://model.invalid:11434/api/generate")
+        assert isinstance(conn, http.client.HTTPSConnection)  # connects lazily: no request sent
+        assert (conn.host, conn.port, target) == ("proxy.invalid", 3128, "/api/generate")
+        assert (conn._tunnel_host, conn._tunnel_port) == ("model.invalid", 11434)
 
     @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
     def test_loopback_server_is_reached_without_the_proxy(self, oracle_server, monkeypatch,

@@ -203,6 +203,21 @@ class TestTTests:
             welch_t([2, 2], [2, 2, 2])
 
 
+class TestSampleChecks:
+    @pytest.mark.parametrize("test, message", [
+        (paired_t, "paired_t: samples must have equal length"),
+        (spearman, "spearman: samples must have equal length"),
+    ])
+    def test_unequal_lengths_rejected(self, test, message):
+        with pytest.raises(MetricsError, match=f"^{message}$"):
+            test([1, 2, 3], [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("value", ["x", None, [1.0]])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(MetricsError, match="need a 1-d sample"):
+            paired_t([1.0, value, 3.0], [1.0, 2.0, 3.0])
+
+
 class TestSpearman:
     def test_monotone(self):
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]).statistic == 1.0

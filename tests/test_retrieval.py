@@ -381,6 +381,9 @@ class TestRerank:
     def test_empty_candidates(self):
         assert rerank("q", [], TokenOverlapReranker()) == []
 
+    def test_query_without_tokens_scores_zero(self):
+        assert TokenOverlapReranker().score("", "x") == 0.0
+
     def test_four_candidate_overlap_fractions(self):
         chunks = _chunks([
             "idh mutation status detected",  # 4/4
@@ -431,6 +434,13 @@ class _FixedScorer:
 
     def score(self, query, passage):
         return self._score
+
+
+class TestRetrievalSettings:
+    @pytest.mark.parametrize("overlap", [20, 30, -1])
+    def test_chunk_must_exceed_overlap(self, overlap):
+        with pytest.raises(ValueError, match="require chunk_size > overlap >= 0"):
+            RetrievalSettings(chunk_size=20, overlap=overlap)
 
 
 class TestSelectContext:

@@ -226,6 +226,19 @@ class TestConfigIdentity:
         assert changed.config_hash == _config(temperature=0.5).config_hash
         assert replace(changed, temperature=0.0).config_hash == config.config_hash
 
+    def test_model_name_required(self):
+        with pytest.raises(SweepError, match="^model_name must be nonempty$"):
+            PipelineConfig(model_name="")
+
+    def test_to_dict_is_plain_and_fresh(self):
+        config = _config(prompt=PromptStrategy(PromptStyle.SIMPLE, FewShot.POSITIVE, False),
+                         retrieval=RetrievalSettings(mode="hybrid"))
+        d = config.to_dict()
+        assert d == json.loads(json.dumps(d))
+        assert type(d["prompt"]["style"]) is str and type(d["prompt"]["few_shot"]) is str
+        d["retrieval"]["mode"] = "dense"  # enumerate_configs edits its copy in place
+        assert config.to_dict()["retrieval"]["mode"] == "hybrid"
+
     def test_equal_configs_equal_hashes(self):
         a = _config(retrieval=RetrievalSettings(mode="hybrid"), seed=3)
         b = PipelineConfig.from_dict(json.loads(json.dumps(a.to_dict())))
