@@ -36,6 +36,14 @@ def normalize_text(raw: str) -> str:
     return " ".join(raw.split())
 
 
+def _convert_task(obj) -> None:
+    """Set a frozen dataclass's `task` to its Task; an unknown task is a CorpusError."""
+    try:
+        object.__setattr__(obj, "task", Task(obj.task))
+    except ValueError:
+        raise CorpusError(f"unknown task {obj.task!r}") from None
+
+
 @dataclass(frozen=True)
 class Report:
     id: str
@@ -43,6 +51,7 @@ class Report:
     text: str
 
     def __post_init__(self):
+        _convert_task(self)
         if not self.id:
             raise CorpusError("report id must be nonempty")
         if "\n" in self.text or "\r" in self.text:
@@ -55,7 +64,7 @@ class Report:
 
 def make_report(report_id: str, task: Task, raw_text: str) -> Report:
     """Build a Report from raw text, normalizing whitespace."""
-    return Report(id=report_id, task=Task(task), text=normalize_text(raw_text))
+    return Report(id=report_id, task=task, text=normalize_text(raw_text))
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,7 @@ class LabelSchema:
     retrieval_keywords: str
 
     def __post_init__(self):
+        _convert_task(self)
         if not self.answer_key:
             raise CorpusError("answer_key must be nonempty")
         folded = {l.strip().casefold(): l for l in self.valid_labels}
@@ -125,10 +135,7 @@ class CorpusSpec:
     seed: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "task", Task(self.task))
-        except ValueError:
-            raise CorpusError(f"unknown task {self.task!r}") from None
+        _convert_task(self)
         if self.n_reports < 1:
             raise CorpusError("n_reports must be >= 1")
         if self.length_mean_words <= 0 or self.length_sd_words <= 0:

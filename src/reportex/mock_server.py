@@ -166,8 +166,7 @@ class MockModel:
         return self._wire(model, json.dumps({self.schema.answer_key: label}))
 
     def embeddings(self, payload: dict) -> dict:
-        vector = self.embedder.embed([payload.get("prompt", "")])[0]
-        return {"embedding": vector.tolist()}
+        return {"embedding": self.embedder.embed([payload.get("prompt", "")])[0]}
 
     @staticmethod
     def _wire(model: str, text: str) -> dict:

@@ -10,13 +10,10 @@ import re
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Protocol, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Protocol, Sequence, TypeVar
 
 from . import lm_client
 from .corpus import LabelSchema, Report
-
-if TYPE_CHECKING:
-    import numpy as np
 
 RRF_K = 60  # reciprocal-rank fusion constant
 
@@ -265,38 +262,31 @@ def rerank(query: str, candidates: list[Chunk], scorer: RerankScorer) -> list[tu
 
 class MockHashEmbedder:
     """Deterministic seeded-hash embedder: a text's vector is the normalized sum
-    of per-token gaussian vectors, so shared tokens raise cosine similarity.
+    of per-token vectors, so shared tokens raise cosine similarity.
 
-    Its token vectors come from numpy's seeded generator, so it needs numpy,
-    which the `test` extra installs; embed() returns an ndarray."""
+    A token's vector is the centred bytes of SHAKE-256 over the seed and the
+    token, so it is the same in every process and for any dimension. embed()
+    returns one list of floats per text; a text without tokens is a zero row."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
         self.dimension = dimension
         self.seed = seed
-        self._token_cache: dict[str, np.ndarray] = {}
+        self._token_cache: dict[str, list[float]] = {}
 
-    def _token_vector(self, token: str, np) -> np.ndarray:
+    def _token_vector(self, token: str) -> list[float]:
         vec = self._token_cache.get(token)
         if vec is None:
-            digest = hashlib.blake2b(f"{self.seed}:{token}".encode("utf-8"), digest_size=8).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "big"))
-            vec = rng.standard_normal(self.dimension)
-            self._token_cache[token] = vec
+            digest = hashlib.shake_256(f"{self.seed}:{token}".encode("utf-8")).digest(self.dimension)
+            vec = self._token_cache[token] = [b - 127.5 for b in digest]
         return vec
 
-    def embed(self, texts: list[str]) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros((len(texts), self.dimension))
-        for i, text in enumerate(texts):
-            tokens = tokenize(text)
-            if not tokens:
-                continue
-            v = np.sum([self._token_vector(t, np) for t in tokens], axis=0)
-            norm = np.linalg.norm(v)
-            if norm > 0:
-                out[i] = v / norm
-        return out
+    def embed(self, texts: list[str]) -> list[list[float]]:
+        rows = []
+        for text in texts:
+            v = [sum(col) for col in zip(*map(self._token_vector, tokenize(text)))]
+            norm = _norm(v)
+            rows.append([x / norm for x in v] if norm > 0 else [0.0] * self.dimension)
+        return rows
 
 
 class TokenOverlapReranker:

@@ -241,7 +241,7 @@ class TestExtract:
         assert main(["extract", str(path), "--config", corpus_files["config"],
                      "--schema", corpus_files["schema"],
                      "--endpoint", corpus_files["endpoint"]]) == 2
-        assert "'bogus' is not a valid Task" in capsys.readouterr().err
+        assert "unknown task 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config_obj, part", [
         ([1, 2], "pipeline config"),

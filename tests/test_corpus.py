@@ -11,8 +11,10 @@ from reportex import corpus as corpus_mod
 from reportex.corpus import (
     CorpusError,
     CorpusSpec,
+    LabelSchema,
     PATHOLOGY_DISTRIBUTION,
     RADIOLOGY_DISTRIBUTION,
+    Report,
     Task,
     default_corpus_spec,
     generate_synthetic_corpus,
@@ -23,6 +25,7 @@ from reportex.corpus import (
     save_corpus,
     save_schema,
 )
+from reportex.postprocess import parse_label
 
 
 class TestNormalizeText:
@@ -59,13 +62,20 @@ class TestNormalizeText:
 class TestReport:
     def test_newline_rejected(self):
         with pytest.raises(CorpusError):
-            from reportex.corpus import Report
             Report(id="x", task=Task.RADIOLOGY, text="a\nb")
 
     def test_make_report_normalizes(self):
         r = make_report("r1", Task.RADIOLOGY, "line one.\nline two")
         assert r.text == "line one. line two"
         assert r.word_count == 4
+
+    def test_task_given_as_a_string_is_converted_and_unknown_task_rejected(self, tmp_path):
+        report = Report("a", "pathology", "text")
+        assert report.task is Task.PATHOLOGY
+        save_corpus(tmp_path / "c.jsonl", [report], [])
+        assert load_corpus(tmp_path / "c.jsonl") == ([report], [])
+        with pytest.raises(CorpusError, match="unknown task 'bogus'"):
+            Report("a", "bogus", "text")
 
 
 class TestSchema:
@@ -80,14 +90,19 @@ class TestSchema:
         assert load_schema(path) == pathology_schema
 
     def test_duplicate_after_folding_rejected(self):
-        from reportex.corpus import LabelSchema
         with pytest.raises(CorpusError):
             LabelSchema(Task.RADIOLOGY, ("A", "a"), "A", "score", "kw")
 
     def test_nr_label_outside_labels_rejected(self):
-        from reportex.corpus import LabelSchema
         with pytest.raises(CorpusError, match="nr_label 'none' not in valid_labels"):
             LabelSchema(Task.RADIOLOGY, ("A", "B"), "none", "score", "kw")
+
+    def test_task_given_as_a_string_is_converted_and_unknown_task_rejected(self):
+        schema = LabelSchema("radiology", ("2", "4", "NR"), "NR", "score", "kw")
+        assert schema.task is Task.RADIOLOGY
+        assert parse_label('{"score": "2"}', schema).label == "2"
+        with pytest.raises(CorpusError, match="unknown task 'bogus'"):
+            LabelSchema("bogus", ("2", "4", "NR"), "NR", "score", "kw")
 
 
 class TestCorpusSpec:

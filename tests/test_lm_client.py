@@ -135,7 +135,7 @@ class _NotJsonHandler(BaseHTTPRequestHandler):
 
 
 class _FailingModel(MockModel):
-    """Mock whose embeddings raise, as the mock's do where numpy is not installed."""
+    """Mock whose embeddings raise: a model call that fails inside the server."""
 
     def __init__(self):
         super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)

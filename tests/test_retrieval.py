@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 import threading
@@ -691,12 +692,12 @@ class TestMockEmbedder:
             "idh mutation detected positive",
             "weather is nice today",
         ])
-        assert float(base @ close) > float(base @ far)
+        dot = lambda a, b: sum(map(operator.mul, a, b))
+        assert dot(base, close) > dot(base, far)
 
     def test_unit_norm(self):
         v = MockHashEmbedder().embed(["some tokens here"])[0]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_text_zero_vector(self):
-        v = MockHashEmbedder().embed(["..."])[0]
-        assert np.all(v == 0)
+        assert MockHashEmbedder().embed(["..."]) == [[0.0] * 64]

@@ -1,7 +1,9 @@
-"""The client runs on the standard library alone: a RAG sweep over HTTP, dense
-retrieval included, and its report complete in an interpreter that refuses to
-import numpy. The mock server runs in a process of its own, since the mock's
-embedder uses numpy."""
+"""The client and the mock server run on the standard library alone. Each
+script below runs in a fresh interpreter that refuses to import numpy: a RAG
+sweep over HTTP, dense retrieval included, and its report, with the mock
+server in a process of its own; an in-process sweep, its report and dense
+retrieval; and the mock's embedder, whose rows do not depend on the
+interpreter's hash seed."""
 
 import json
 import os
@@ -21,20 +23,8 @@ from reportex.corpus import (
 from reportex.retrieval import RetrievalSettings
 from reportex.sweep import PipelineConfig, ResultStore
 
-SERVER = r"""
+REFUSE_NUMPY = r"""
 import sys
-from reportex.corpus import PATHOLOGY_SCHEMA, load_corpus
-from reportex.mock_server import MockLmServer, MockMode, MockModel
-
-reports, annotations = load_corpus(sys.argv[1])
-gold = {a.report_id: a.label for a in annotations}
-with MockLmServer(MockModel(MockMode.ORACLE, gold, PATHOLOGY_SCHEMA, reports)) as server:
-    print(server.endpoint, flush=True)
-    sys.stdin.read()  # serve until the test closes stdin
-"""
-
-CLIENT = r"""
-import json, sys
 
 
 class RefuseNumpy:
@@ -45,12 +35,73 @@ class RefuseNumpy:
 
 
 sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+SERVER = REFUSE_NUMPY + r"""
+from reportex.corpus import PATHOLOGY_SCHEMA, load_corpus
+from reportex.mock_server import MockLmServer, MockMode, MockModel
+
+reports, annotations = load_corpus(sys.argv[1])
+gold = {a.report_id: a.label for a in annotations}
+with MockLmServer(MockModel(MockMode.ORACLE, gold, PATHOLOGY_SCHEMA, reports)) as server:
+    print(server.endpoint, flush=True)
+    sys.stdin.read()  # serve until the test closes stdin
+assert "numpy" not in sys.modules
+"""
+
+CLIENT = REFUSE_NUMPY + r"""
+import json
 from reportex import cli
 
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     assert code == 0, (argv[0], code)
 assert "numpy" not in sys.modules
+"""
+
+IN_PROCESS = REFUSE_NUMPY + r"""
+import json, zlib
+from reportex.corpus import RADIOLOGY_SCHEMA, Task, default_corpus_spec, generate_synthetic_corpus
+from reportex.lm_client import GenerationResponse
+from reportex.retrieval import (MockHashEmbedder, RetrievalSettings, TokenOverlapReranker,
+                                select_context)
+from reportex.sweep import (PipelineBackends, PipelineConfig, ResultStore, SweepGrid, aggregate,
+                            enumerate_configs, run_sweep)
+
+reports, annotations = generate_synthetic_corpus(default_corpus_spec(Task.RADIOLOGY, 8, seed=3))
+gold = {a.report_id: a.label for a in annotations}
+
+def generate(req):
+    label = gold[next(r.id for r in reports if r.text in req.prompt)]
+    if zlib.crc32(json.dumps(req.to_payload()).encode()) % 3 == 0:  # some answers wrong
+        label = "NR" if label != "NR" else "4"
+    return GenerationResponse('{"score": "%s"}' % label, 0.0, req.model)
+
+grid = SweepGrid(base=PipelineConfig(model_name="m"), axes={
+    "model_name": ["a", "b", "c"], "param_count_b": [1.0, 8.0, 70.0], "json_mode": [False, True]})
+configs = enumerate_configs(grid)
+backends = PipelineBackends(generate, MockHashEmbedder(), TokenOverlapReranker())
+store_path = sys.argv[1]
+run_sweep(reports, configs, None, store_path, RADIOLOGY_SCHEMA, parallelism=2,
+          backends=backends, no_timestamps=True)
+result = aggregate(ResultStore.open(store_path), gold, RADIOLOGY_SCHEMA, configs,
+                   compare_axes=("json_mode",))
+assert len(result.rows) == 18 and result.to_csv()
+comparison = result.comparisons_json()["comparisons"][0]
+assert comparison["outcome"] == "tested", comparison
+assert isinstance(result.correlations["accuracy_vs_log_param_count"], dict), result.correlations
+
+context = select_context(reports[0], RADIOLOGY_SCHEMA, RetrievalSettings(mode="dense"),
+                         MockHashEmbedder(), TokenOverlapReranker())
+assert context.candidates
+assert "numpy" not in sys.modules
+"""
+
+EMBED = REFUSE_NUMPY + r"""
+import json
+from reportex.retrieval import MockHashEmbedder
+
+print(json.dumps(MockHashEmbedder(64, 5).embed(json.loads(sys.argv[1]))))
 """
 
 
@@ -85,10 +136,32 @@ def test_rag_sweep_and_report_over_http_without_numpy(tmp_path):
                                 capture_output=True, text=True, timeout=120)
     finally:
         server.stdin.close()
-        server.wait(timeout=30)
+        server_code = server.wait(timeout=30)
     assert client.returncode == 0, client.stderr
+    assert server_code == 0
     records = ResultStore.open(store).records
     assert len(records) == 15  # 5 reports x 3 modes
     assert all(r.error is None for r in records)
     assert any(r.rag_used for r in records)
     assert len((tmp_path / "t.csv").read_text().splitlines()) == 4
+
+
+def test_sweep_report_and_dense_retrieval_in_process_without_numpy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS, str(tmp_path / "store.jsonl")],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_mock_embeddings_do_not_depend_on_the_hash_seed():
+    texts = ["idh mutation detected", "BT-RADS 3c, stable", "..."]
+    rows = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", EMBED, json.dumps(texts)],
+                              env={**_env(), "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows.append(json.loads(proc.stdout))
+    assert rows[0] == rows[1]
+    assert len(rows[0]) == 3 and all(len(row) == 64 for row in rows[0])
+    assert all(type(x) is float for row in rows[0] for x in row)
+    assert any(x != 0.0 for x in rows[0][0])

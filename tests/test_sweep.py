@@ -1008,14 +1008,14 @@ class _ScaledEmbedder:
     """Rows twice as long as unit length: a matrix VectorIndex refuses."""
 
     def embed(self, texts):
-        return 2.0 * MockHashEmbedder().embed(texts)
+        return [[2.0 * x for x in row] for row in MockHashEmbedder().embed(texts)]
 
 
 class _OverflowEmbedder:
     """A last row whose sum of squares is beyond float range."""
 
     def embed(self, texts):
-        rows = MockHashEmbedder().embed(texts).tolist()
+        rows = MockHashEmbedder().embed(texts)
         rows[-1] = [1.3e154] * len(rows[-1])
         return rows
 
