@@ -36,8 +36,9 @@ print(f"tokenized (slash compounds kept whole and split): {query_terms}")
 
 stats = Bm25Stats(chunks)
 embedder = MockHashEmbedder(seed=0)
-index = VectorIndex(chunks, embedder.embed([c.text for c in chunks]))
-query_vector = embedder.embed([query])[0]
+embed_model = RetrievalSettings().embed_model
+index = VectorIndex(chunks, embedder.embed([c.text for c in chunks], embed_model))
+query_vector = embedder.embed([query], embed_model)[0]
 
 print("\ntop-3 by BM25 (within-report statistics):")
 for chunk, score in bm25_rank(query_terms, chunks, stats)[:3]:

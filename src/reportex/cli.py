@@ -108,8 +108,7 @@ def cmd_extract(args) -> int:
         return _fail(EXIT_CONFIG, str(e))
     except ValueError as e:  # the config file is not UTF-8, JSON or a pipeline config
         return _fail(EXIT_CONFIG, f"{args.config}: {e}")
-    backends = PipelineBackends.remote(endpoint, embed_model=config.retrieval.embed_model)
-    record = extract_one(report, schema, config, backends)
+    record = extract_one(report, schema, config, PipelineBackends.remote(endpoint))
     if record.error is not None:  # a server's error body may span lines
         return _fail(EXIT_BACKEND, " ".join(record.error.splitlines()))
     out = {

@@ -118,19 +118,23 @@ def _reading(kind) -> tuple:
 
 
 def _mismatch(path: str, kind, value) -> InputError:
-    expected = _reading(kind)[0]
-    if value is None:
-        actual = "null"
-    elif isinstance(value, float) and not math.isfinite(value):
-        actual = json.dumps(value)  # NaN, Infinity or -Infinity
-    elif isinstance(value, str) and expected.startswith("one of"):
-        actual = repr(value)  # a string outside an Enum
-    elif isinstance(value, str) and _SURROGATE.search(value):
-        actual = "a string holding a lone surrogate"
-    elif isinstance(value, list) and typing.get_origin(kind) is tuple:
-        test = _reading(typing.get_args(kind)[0])[1]
-        actual = "a list holding " + next(type(v).__name__ for v in value if not test(v))
-    else:
-        actual = type(value).__name__
+    expected, actual = _reading(kind)[0], _actual(kind, value)
     return InputError(f"{path} must be {expected}, not {actual}" if path
                       else f"expected {expected}, not {actual}")
+
+
+def _actual(kind, value) -> str:
+    """The wording of a value that does not fit `kind`; a list's first bad item
+    is worded by the same rules."""
+    if value is None:
+        return "null"
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)  # NaN, Infinity or -Infinity
+    if isinstance(value, str) and _reading(kind)[0].startswith("one of"):
+        return repr(value)  # a string outside an Enum
+    if isinstance(value, str) and _SURROGATE.search(value):
+        return "a string holding a lone surrogate"
+    if isinstance(value, list) and typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return "a list holding " + next(_actual(item, v) for v in value if not _reading(item)[1](v))
+    return type(value).__name__

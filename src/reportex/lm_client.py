@@ -224,7 +224,7 @@ def _post(url: str, body: bytes) -> tuple[int, str]:
 
 
 _GENERATE_REPLY = (("response", str, True), ("model", str, False))
-_EMBED_REPLY = (("embedding", list, True),)
+_EMBED_REPLY = (("embedding", tuple[float, ...], True),)
 
 
 def _post_with_retries(url: str, body: bytes, table) -> dict:
@@ -271,14 +271,14 @@ def _embedding(url: str, model: str, text: str) -> list[float]:
     """The server's row for `text`, scaled to unit L2 norm; a zero row stays zero."""
     body = json.dumps({"model": model, "prompt": text}).encode("utf-8")
     row = _post_with_retries(url, body, _EMBED_REPLY)["embedding"]
-    if not row or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
-        raise ProtocolError(200, f"embedding must be a nonempty flat number array: {str(row)[:80]}")
+    if not row:
+        raise ProtocolError(200, "embedding must not be empty")
     try:
         row = [float(x) for x in row]
         norm = math.sqrt(math.fsum(x * x for x in row))
     except OverflowError as e:  # an integer beyond float range, or a sum of squares beyond it
         raise ProtocolError(200, f"embedding must have a finite norm: {e}") from e
-    if not math.isfinite(norm):  # a NaN or an infinity, both of which json.loads accepts
+    if not math.isfinite(norm):  # a square beyond float range is inf, not an OverflowError
         raise ProtocolError(200, f"embedding must have a finite norm: {str(row)[:80]}")
     return [x / norm for x in row] if norm > 0 else row
 

@@ -166,7 +166,8 @@ class MockModel:
         return self._wire(model, json.dumps({self.schema.answer_key: label}))
 
     def embeddings(self, payload: dict) -> dict:
-        return {"embedding": self.embedder.embed([payload.get("prompt", "")])[0]}
+        return {"embedding": self.embedder.embed([payload.get("prompt", "")],
+                                                 payload.get("model", ""))[0]}
 
     @staticmethod
     def _wire(model: str, text: str) -> dict:

@@ -235,7 +235,7 @@ class RerankError(RuntimeError):
 
 
 class Embedder(Protocol):
-    def embed(self, texts: list[str]) -> Sequence[Sequence[float]]: ...
+    def embed(self, texts: list[str], model: str) -> Sequence[Sequence[float]]: ...
 
 
 class RerankScorer(Protocol):
@@ -266,7 +266,8 @@ class MockHashEmbedder:
 
     A token's vector is the centred bytes of SHAKE-256 over the seed and the
     token, so it is the same in every process and for any dimension. embed()
-    returns one list of floats per text; a text without tokens is a zero row."""
+    returns one list of floats per text, the same rows for every model name; a
+    text without tokens is a zero row."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
         self.dimension = dimension
@@ -280,7 +281,7 @@ class MockHashEmbedder:
             vec = self._token_cache[token] = [b - 127.5 for b in digest]
         return vec
 
-    def embed(self, texts: list[str]) -> list[list[float]]:
+    def embed(self, texts: list[str], model: str) -> list[list[float]]:
         rows = []
         for text in texts:
             v = [sum(col) for col in zip(*map(self._token_vector, tokenize(text)))]
@@ -300,14 +301,13 @@ class TokenOverlapReranker:
 
 
 class RemoteEmbedder:
-    """Embedding backend that calls a model server over the wire protocol."""
+    """Embedding backend that calls a model server; each call names the model."""
 
-    def __init__(self, endpoint: str, model: str):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.model = model
 
-    def embed(self, texts: list[str]) -> Sequence[Sequence[float]]:
-        return lm_client.embed(self.endpoint, self.model, texts)
+    def embed(self, texts: list[str], model: str) -> Sequence[Sequence[float]]:
+        return lm_client.embed(self.endpoint, model, texts)
 
 
 RETRIEVAL_MODES = ("off", "dense", "hybrid", "sequential")
@@ -398,7 +398,7 @@ def _dense_ranking(report: Report, cfg: RetrievalSettings, query: str,
     if not chunks:
         return chunks, []
     # One call: the query rides as row 0, so the ranking waits on this report alone.
-    vectors = embedder.embed([query] + [c.text for c in chunks])
+    vectors = embedder.embed([query] + [c.text for c in chunks], cfg.embed_model)
     index = VectorIndex(chunks, vectors[1:])
     return chunks, dense_search(index, vectors[0], len(chunks))
 

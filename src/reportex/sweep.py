@@ -234,10 +234,10 @@ class PipelineBackends:
     reranker: RerankScorer
 
     @classmethod
-    def remote(cls, endpoint: str, embed_model: str = "gte-large") -> "PipelineBackends":
+    def remote(cls, endpoint: str) -> "PipelineBackends":
         return cls(
             generate=lambda req: generate(endpoint, req),
-            embedder=RemoteEmbedder(endpoint, embed_model),
+            embedder=RemoteEmbedder(endpoint),
             reranker=TokenOverlapReranker(),
         )
 
@@ -391,10 +391,7 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
         raise SweepError("parallelism must be >= 1")
     check_strategies(schema, [c.prompt for c in configs])
     if backends is None:
-        embed_models = {c.retrieval.embed_model for c in configs}
-        if len(embed_models) > 1:
-            raise SweepError("a single sweep cannot mix embed_model values without injected backends")
-        backends = PipelineBackends.remote(endpoint, embed_model=embed_models.pop())
+        backends = PipelineBackends.remote(endpoint)
     try:
         store = ResultStore.open(store_path)
         open(store.path, "ab").close()  # a store that cannot take appends fails before any pair
@@ -491,7 +488,7 @@ def _compare_axis(axis: str, rows: list[tuple[PipelineConfig, MetricsReport]]) -
     distinct = {repr(v): v for _, v, _ in cells}
     if len(distinct) != 2:
         raise SweepError(f"axis {axis!r} must take exactly 2 values in the store, got {len(distinct)}")
-    a, b = (distinct[k] for k in sorted(distinct))
+    a, b = sorted(distinct.values())  # one field's values share one JSON type
     value_off, value_on = ((b, a) if a not in _FALSY_AXIS_VALUES and b in _FALSY_AXIS_VALUES
                            else (a, b))
 

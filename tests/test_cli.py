@@ -419,17 +419,22 @@ class TestSweepAndReport:
         assert "parallelism must be >= 1" in capsys.readouterr().err
         assert not store.exists()
 
-    def test_two_embed_models_exit_2(self, corpus_files, tmp_path, capsys):
+    def test_sweep_over_two_embed_models(self, corpus_files, tmp_path, capsys):
         grid = tmp_path / "embed_grid.json"
         grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj["base"]["retrieval"]["mode"] = "dense"
         grid_obj["axes"] = {"retrieval.embed_model": ["gte-large", "nomic-embed-text"]}
         grid.write_text(json.dumps(grid_obj))
         store = tmp_path / "embed.jsonl"
         assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
                      "--schema", corpus_files["schema"], "--store", str(store),
-                     "--endpoint", corpus_files["endpoint"]]) == 2
-        assert "cannot mix embed_model values" in capsys.readouterr().err
-        assert not store.exists()
+                     "--endpoint", corpus_files["endpoint"], "--no-timestamps"]) == 0
+        records = [ExtractionRecord.from_dict(json.loads(line))
+                   for line in store.read_text().splitlines()]
+        assert len(records) == 40
+        assert len({r.config_hash for r in records}) == 2
+        assert all(r.error is None for r in records)
+        assert all(r.parsed.label == corpus_files["gold"][r.report_id] for r in records)
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
     @pytest.mark.parametrize("grid_obj, part", [

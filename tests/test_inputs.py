@@ -1,8 +1,10 @@
+import json
 import math
 from dataclasses import dataclass
 
 import pytest
 
+from reportex.corpus import CorpusError, load_schema
 from reportex.inputs import InputError, check_object, dataclass_fields, from_json
 from reportex.postprocess import InvalidReason, ParsedLabel
 from reportex.sweep import PipelineConfig
@@ -57,6 +59,23 @@ class TestRules:
         assert _error({"n": 1, "labels": ["a", 1]}) == (
             "labels must be a list of strings, not a list holding int")
         assert _error({"n": 1, "labels": "a"}) == "labels must be a list of strings, not str"
+
+    @pytest.mark.parametrize("item, shown", [
+        (None, "null"), (math.nan, "NaN"), (-math.inf, "-Infinity"),
+        ("\ud800", "a string holding a lone surrogate"),
+    ], ids=["null", "nan", "-infinity", "surrogate"])
+    def test_a_bad_list_item_is_worded_as_a_bad_value(self, item, shown):
+        assert _error({"n": 1, "labels": ["a", item]}) == (
+            f"labels must be a list of strings, not a list holding {shown}")
+
+    def test_schema_with_a_null_label_names_null(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({
+            "task": "radiology", "valid_labels": ["2", None], "nr_label": "2",
+            "answer_key": "score", "retrieval_keywords": "score"}), encoding="utf-8")
+        with pytest.raises(CorpusError, match="valid_labels must be a list of strings, "
+                                              "not a list holding null"):
+            load_schema(path)
 
     def test_nested_tables_name_the_key_path(self):
         assert _error({"n": 1, "nested": {"k": "1"}}) == "nested.k must be an integer, not str"

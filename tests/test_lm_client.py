@@ -347,20 +347,22 @@ class TestEmbedConcurrency:
         assert 2 < model.peak <= EMBED_CONCURRENCY
         assert sorted(model.seen) == sorted(a + b)
         expected = MockHashEmbedder(64, 0)
-        np.testing.assert_allclose(rows_a, expected.embed(a), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rows_b, expected.embed(b), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows_a, expected.embed(a, "gte-large"), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows_b, expected.embed(b, "gte-large"), rtol=0, atol=1e-12)
 
     def test_rows_in_input_order(self):
         texts = _texts(30)
         with MockLmServer(_InFlightModel(seed=5, delay=0.0)) as server:
             rows = embed(server.endpoint, "gte-large", texts)
-        np.testing.assert_allclose(rows, MockHashEmbedder(64, 5).embed(texts), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows, MockHashEmbedder(64, 5).embed(texts, "gte-large"),
+                                   rtol=0, atol=1e-12)
 
     def test_first_failure_cancels_queued_requests(self):
         texts = _texts(100)
         model = _InFlightModel(fail_prompt=texts[0])
         with MockLmServer(model) as server:
-            with pytest.raises(ProtocolError, match="embedding must be a list, not missing"):
+            with pytest.raises(ProtocolError,
+                               match="embedding must be a list of numbers, not missing"):
                 embed(server.endpoint, "gte-large", texts)
             _drain_embed_pool()
         assert texts[0] in model.seen

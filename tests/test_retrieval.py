@@ -33,6 +33,9 @@ from reportex.retrieval import (
 )
 
 
+MODEL = RetrievalSettings().embed_model
+
+
 def _chunks(texts):
     pos = 0
     out = []
@@ -321,7 +324,7 @@ class TestSequentialSearch:
     def _setup(self, texts, seed=6):
         chunks = _chunks(texts)
         embedder = MockHashEmbedder(dimension=32, seed=seed)
-        index = VectorIndex(chunks, embedder.embed(texts))
+        index = VectorIndex(chunks, embedder.embed(texts, MODEL))
         stats = Bm25Stats(chunks)
         return chunks, embedder, index, stats
 
@@ -329,7 +332,7 @@ class TestSequentialSearch:
         texts = ["idh status noted", "margin stable", "idh idh detected", "edema present"]
         chunks, embedder, index, stats = self._setup(texts)
         q = "idh detected"
-        qv = embedder.embed([q])[0]
+        qv = embedder.embed([q], MODEL)[0]
         qt = tokenize(q)
         shortlist = dense_search(index, qv, 4)
         ours = [c.index for c, _ in sequential_search(shortlist, stats, qt, 4)]
@@ -342,7 +345,7 @@ class TestSequentialSearch:
     def test_singleton_equals_dense_top1(self):
         texts = ["alpha beta", "gamma delta", "alpha gamma"]
         chunks, embedder, index, stats = self._setup(texts)
-        qv = embedder.embed(["beta"])[0]
+        qv = embedder.embed(["beta"], MODEL)[0]
         dense = dense_search(index, qv, 1)
         seq = sequential_search(dense, stats, ["nomatch"], 1)
         assert seq[0][0].index == dense[0][0].index
@@ -354,7 +357,7 @@ class TestSequentialSearch:
         ]
         chunks, embedder, index, stats = self._setup(texts)
         q = "idh mutation"
-        qv = embedder.embed([q])[0]
+        qv = embedder.embed([q], MODEL)[0]
         qt = tokenize(q)
         shortlist = dense_search(index, qv, 3)
         rescored = sorted(
@@ -369,7 +372,7 @@ class TestSequentialSearch:
         texts = ["a b", "c d"]
         chunks, embedder, index, stats = self._setup(texts)
         with pytest.raises(ValueError):
-            sequential_search(dense_search(index, embedder.embed(["a"])[0], 1), stats, ["a"], 2)
+            sequential_search(dense_search(index, embedder.embed(["a"], MODEL)[0], 1), stats, ["a"], 2)
 
 
 class TestRerank:
@@ -548,11 +551,11 @@ class TestSelectContext:
         reports, _ = generate_synthetic_corpus(default_corpus_spec(Task.PATHOLOGY, 4, seed=3))
         embedder, reranker, memo = MockHashEmbedder(), TokenOverlapReranker(), SingleFlightMemo()
         query = pathology_schema.retrieval_keywords
-        terms, query_vector = tokenize(query), embedder.embed([query])[0]
+        terms, query_vector = tokenize(query), embedder.embed([query], MODEL)[0]
         for report in reports:
             chunks = [c for c in split_recursive(report.text, report_id=report.id)
                       if tokenize(c.text)]
-            index = VectorIndex(chunks, embedder.embed([c.text for c in chunks]))
+            index = VectorIndex(chunks, embedder.embed([c.text for c in chunks], MODEL))
             stats = Bm25Stats(chunks)
             expected = {
                 "dense": dense_search(index, query_vector, 3),
@@ -572,10 +575,10 @@ class TestSelectContext:
         report = generate_synthetic_corpus(default_corpus_spec(Task.PATHOLOGY, 1, seed=3))[0][0]
         query = pathology_schema.retrieval_keywords
         texts = [query] + [c.text for c in split_recursive(report.text, report_id=report.id)]
-        rows = dict(zip(texts, MockHashEmbedder().embed(texts)))  # embedded before the patch
+        rows = dict(zip(texts, MockHashEmbedder().embed(texts, MODEL)))  # embedded before the patch
 
         class Precomputed:
-            def embed(self, batch):
+            def embed(self, batch, model):
                 return [rows[t] for t in batch]
 
         seen = []
@@ -613,9 +616,9 @@ class TestSelectContext:
         assert [c.index for c in chunks if c not in kept] == [1]  # a gap in the kept indices
         embedder, reranker = MockHashEmbedder(), TokenOverlapReranker()
         query = pathology_schema.retrieval_keywords
-        terms, query_vector = tokenize(query), embedder.embed([query])[0]
+        terms, query_vector = tokenize(query), embedder.embed([query], MODEL)[0]
         stats = Bm25Stats(kept)
-        ranking = dense_search(VectorIndex(kept, embedder.embed([c.text for c in kept])),
+        ranking = dense_search(VectorIndex(kept, embedder.embed([c.text for c in kept], MODEL)),
                                query_vector, len(kept))
         expected = {
             "dense": ranking[:2],
@@ -681,8 +684,8 @@ class TestSingleFlightMemo:
 
 class TestMockEmbedder:
     def test_deterministic(self):
-        a = MockHashEmbedder(seed=0).embed(["idh mutation detected"])
-        b = MockHashEmbedder(seed=0).embed(["idh mutation detected"])
+        a = MockHashEmbedder(seed=0).embed(["idh mutation detected"], MODEL)
+        b = MockHashEmbedder(seed=0).embed(["idh mutation detected"], MODEL)
         assert np.array_equal(a, b)
 
     def test_shared_tokens_raise_cosine(self):
@@ -691,13 +694,18 @@ class TestMockEmbedder:
             "idh mutation detected",
             "idh mutation detected positive",
             "weather is nice today",
-        ])
+        ], MODEL)
         dot = lambda a, b: sum(map(operator.mul, a, b))
         assert dot(base, close) > dot(base, far)
 
+    def test_every_model_name_gets_the_same_rows(self):
+        texts = ["idh mutation detected", "..."]
+        assert MockHashEmbedder().embed(texts, "gte-large") == \
+            MockHashEmbedder().embed(texts, "nomic-embed-text")
+
     def test_unit_norm(self):
-        v = MockHashEmbedder().embed(["some tokens here"])[0]
+        v = MockHashEmbedder().embed(["some tokens here"], MODEL)[0]
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_text_zero_vector(self):
-        assert MockHashEmbedder().embed(["..."]) == [[0.0] * 64]
+        assert MockHashEmbedder().embed(["..."], MODEL) == [[0.0] * 64]

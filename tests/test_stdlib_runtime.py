@@ -101,7 +101,7 @@ EMBED = REFUSE_NUMPY + r"""
 import json
 from reportex.retrieval import MockHashEmbedder
 
-print(json.dumps(MockHashEmbedder(64, 5).embed(json.loads(sys.argv[1]))))
+print(json.dumps(MockHashEmbedder(64, 5).embed(json.loads(sys.argv[1]), "gte-large")))
 """
 
 

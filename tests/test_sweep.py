@@ -622,6 +622,22 @@ class TestAggregate:
         assert (cmp.mean_delta, cmp.sd_delta) == (0.5, 0.0)
         assert cmp.outcome == "uniform_delta" and cmp.paired is None
 
+    @pytest.mark.parametrize("axis, small, large, fields", [
+        ("top_k", 5, 10, lambda v: {"top_k": v}),
+        ("temperature", 9.0, 10.0, lambda v: {"temperature": v}),
+        ("retrieval.embed_model", "gte-large", "nomic-embed-text",
+         lambda v: {"retrieval": RetrievalSettings(embed_model=v)}),
+    ], ids=["5-10", "9.0-10.0", "embed-model"])
+    def test_the_smaller_of_two_truthy_values_is_off(self, tmp_path, axis, small, large, fields):
+        gold = self._gold(4)
+        configs = [_config(model_name=m, **fields(v)) for m in ("alpha", "beta")
+                   for v in (large, small)]
+        store = _store_with(tmp_path, "order.jsonl", [
+            (c, self._preds(gold, 4 if i % 2 == 0 else 2)) for i, c in enumerate(configs)], gold)
+        cmp = aggregate(store, gold, RADIOLOGY_SCHEMA, configs, compare_axes=(axis,)).comparisons[0]
+        assert (cmp.value_on, cmp.value_off) == (large, small)
+        assert cmp.mean_delta == 0.5
+
     def test_monotone_param_correlation_is_one(self, tmp_path):
         gold = self._gold(8)
         configs = [
@@ -713,21 +729,22 @@ class TestSweepStops:
 
 
 _RAG_MODES = ("dense", "hybrid", "sequential")
+_EMBED_MODEL = RetrievalSettings().embed_model
 
 
 class _CountingEmbedder:
-    """MockHashEmbedder that records the texts of every embed call; `before`
-    runs first on each call and may block or raise."""
+    """MockHashEmbedder that records the model and the texts of every embed
+    call; `before` runs first on each call and may block or raise."""
 
     def __init__(self, before=lambda texts: None):
         self.inner = MockHashEmbedder()
         self.before = before
-        self.calls: list[list[str]] = []
+        self.calls: list[tuple[str, list[str]]] = []
 
-    def embed(self, texts):
-        self.calls.append(list(texts))
+    def embed(self, texts, model):
+        self.calls.append((model, list(texts)))
         self.before(texts)
-        return self.inner.embed(texts)
+        return self.inner.embed(texts, model)
 
 
 def _chunk_texts(report, cfg=RetrievalSettings()):
@@ -752,10 +769,28 @@ class TestSweepMemo:
                           RADIOLOGY_SCHEMA, parallelism=2, backends=backends,
                           no_timestamps=True)
         query = RADIOLOGY_SCHEMA.retrieval_keywords
-        expected = [[query] + _chunk_texts(r) for r in reports[:2]]
+        expected = [(_EMBED_MODEL, [query] + _chunk_texts(r)) for r in reports[:2]]
         assert sorted(embedder.calls) == sorted(expected)
         assert len(store) == 6
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
+
+    def test_each_report_embedded_once_per_embed_model(self, tmp_path, radiology_corpus,
+                                                       oracle_backends):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        embedder = _CountingEmbedder()
+        backends = PipelineBackends(oracle_backends.generate, embedder, oracle_backends.reranker)
+        models = ("gte-large", "nomic-embed-text")
+        configs = [_config(retrieval=RetrievalSettings(mode=mode, embed_model=model))
+                   for model in models for mode in ("dense", "hybrid")]
+        store = run_sweep(reports[:2], configs, None, tmp_path / "s.jsonl", RADIOLOGY_SCHEMA,
+                          parallelism=4, backends=backends, no_timestamps=True)
+        query = RADIOLOGY_SCHEMA.retrieval_keywords
+        expected = [(model, [query] + _chunk_texts(r)) for model in models for r in reports[:2]]
+        assert sorted(embedder.calls) == sorted(expected)
+        assert len(store) == 8
+        assert all(r.error is None and r.parsed.label == gold[r.report_id]
+                   for r in store.records)
 
     def test_concurrent_pairs_embed_a_report_once(self, tmp_path, radiology_corpus,
                                                   oracle_backends, monkeypatch):
@@ -780,7 +815,8 @@ class TestSweepMemo:
                           backends=backends, no_timestamps=True)
         assert both_asked.is_set()
         assert sorted(entered) == ["dense", "hybrid"]
-        assert embedder.calls == [[RADIOLOGY_SCHEMA.retrieval_keywords] + _chunk_texts(reports[0])]
+        assert embedder.calls == [
+            (_EMBED_MODEL, [RADIOLOGY_SCHEMA.retrieval_keywords] + _chunk_texts(reports[0]))]
         assert all(r.error is None for r in store.records)
 
     def test_failed_embedding_is_retried_by_a_later_pair(self, tmp_path, radiology_corpus,
@@ -802,7 +838,7 @@ class TestSweepMemo:
         assert retried.error is None
         assert retried.parsed.label == gold[reports[0].id]
         texts = [RADIOLOGY_SCHEMA.retrieval_keywords] + _chunk_texts(reports[0])
-        assert embedder.calls == [texts, texts]
+        assert embedder.calls == [(_EMBED_MODEL, texts), (_EMBED_MODEL, texts)]
 
     def test_wire_sweep_sends_one_embedding_per_chunk_and_one_query_per_report(
             self, tmp_path, radiology_corpus):
@@ -827,6 +863,29 @@ class TestSweepMemo:
         assert sorted(sent) == sorted(expected)
         assert len(store) == 6
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
+
+    def test_wire_sweep_names_each_configs_embed_model(self, tmp_path, radiology_corpus):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        sent = []
+
+        class ModelNamingModel(MockModel):
+            def embeddings(self, payload):
+                sent.append((payload["model"], payload["prompt"]))
+                return super().embeddings(payload)
+
+        models = ("gte-large", "nomic-embed-text")
+        configs = [_config(retrieval=RetrievalSettings(mode="dense", embed_model=model))
+                   for model in models]
+        with MockLmServer(ModelNamingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA,
+                                           reports)) as server:
+            store = run_sweep(reports[:1], configs, server.endpoint, tmp_path / "wire.jsonl",
+                              RADIOLOGY_SCHEMA, parallelism=2, no_timestamps=True)
+        texts = [RADIOLOGY_SCHEMA.retrieval_keywords] + _chunk_texts(reports[0])
+        assert sorted(sent) == sorted((model, text) for model in models for text in texts)
+        assert len(store) == 2
+        assert all(r.error is None and r.parsed.label == gold[r.report_id]
+                   for r in store.records)
 
     def test_wire_first_generate_waits_on_its_own_report_only(self, tmp_path,
                                                               radiology_corpus):
@@ -1007,21 +1066,21 @@ class _NanReranker:
 class _ScaledEmbedder:
     """Rows twice as long as unit length: a matrix VectorIndex refuses."""
 
-    def embed(self, texts):
-        return [[2.0 * x for x in row] for row in MockHashEmbedder().embed(texts)]
+    def embed(self, texts, model):
+        return [[2.0 * x for x in row] for row in MockHashEmbedder().embed(texts, model)]
 
 
 class _OverflowEmbedder:
     """A last row whose sum of squares is beyond float range."""
 
-    def embed(self, texts):
-        rows = MockHashEmbedder().embed(texts)
+    def embed(self, texts, model):
+        rows = MockHashEmbedder().embed(texts, model)
         rows[-1] = [1.3e154] * len(rows[-1])
         return rows
 
 
 class _BuggyEmbedder:
-    def embed(self, texts):
+    def embed(self, texts, model):
         raise ValueError("a programming error")
 
 
@@ -1109,7 +1168,8 @@ class TestPairExceptions:
                               tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
                               no_timestamps=True)
         self._assert_rag_pairs_errored(store, gold, "ProtocolError")
-        assert all("must have a finite norm" in r.error for r in store.records if r.error)
+        assert all("embedding must be a list of numbers, not a list holding NaN" in r.error
+                   for r in store.records if r.error)
 
     def test_other_value_error_aborts_the_sweep(self, tmp_path, radiology_corpus,
                                                 oracle_backends):
