@@ -183,9 +183,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802 (http.server API)
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = self.headers.get("Content-Length", "0")
+            if not (length.isascii() and length.isdigit()):  # the body's end is unknown
+                self._send(400, {"error": f"invalid Content-Length {length!r}"}, close=True)
+                return
             try:
-                payload = json.loads(self.rfile.read(length))
+                payload = json.loads(self.rfile.read(int(length)))
             except json.JSONDecodeError:
                 self._send(400, {"error": "invalid JSON body"})
                 return
@@ -204,11 +207,13 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass  # client vanished mid-request (e.g. killed sweep process)
 
-    def _send(self, status: int, obj: dict) -> None:
+    def _send(self, status: int, obj: dict, close: bool = False) -> None:
         body = json.dumps(obj).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also sets close_connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

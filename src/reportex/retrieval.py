@@ -12,7 +12,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Protocol, Sequence, TypeVar
 
-from . import lm_client
 from .corpus import LabelSchema, Report
 
 RRF_K = 60  # reciprocal-rank fusion constant
@@ -298,16 +297,6 @@ class TokenOverlapReranker:
         if not q:
             return 0.0
         return len(q & set(tokenize(passage))) / len(q)
-
-
-class RemoteEmbedder:
-    """Embedding backend that calls a model server; each call names the model."""
-
-    def __init__(self, endpoint: str):
-        self.endpoint = endpoint
-
-    def embed(self, texts: list[str], model: str) -> Sequence[Sequence[float]]:
-        return lm_client.embed(self.endpoint, model, texts)
 
 
 RETRIEVAL_MODES = ("off", "dense", "hybrid", "sequential")

@@ -18,6 +18,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
+from . import lm_client
 from .corpus import LabelSchema, Report
 from .inputs import check_object, from_json
 from .lm_client import GenerationRequest, GenerationResponse, LmClientError, check_sampling, generate
@@ -35,7 +36,6 @@ from .postprocess import InvalidReason, ParsedLabel, parse_label
 from .prompting import PromptStrategy, build_prompt, check_strategies
 from .retrieval import (
     Embedder,
-    RemoteEmbedder,
     RerankError,
     RerankScorer,
     RetrievalSettings,
@@ -206,8 +206,10 @@ def enumerate_configs(grid: SweepGrid) -> list[PipelineConfig]:
             node, key = _field(d, name)
             node[key] = value
         configs.append(PipelineConfig.from_dict(d))
-    hashes = {c.config_hash for c in configs}
-    if len(hashes) != len(configs):
+    # Checked once built, so a value of the wrong type gets its own message; equal
+    # values pass through unconverted (1 and 1.0) and would hash apart.
+    if len({c.config_hash for c in configs}) != len(configs) or any(
+            a == b for values in value_lists for a, b in itertools.combinations(values, 2)):
         raise SweepError("grid produces duplicate configurations")
     return configs
 
@@ -223,6 +225,16 @@ def record_seed(config_seed: int, report_id: str) -> int:
     """Per-record generation seed, independent of execution order."""
     digest = hashlib.blake2b(f"{config_seed}:{report_id}".encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+@dataclass(frozen=True)
+class RemoteEmbedder:
+    """Embedding backend that calls a model server; each call names the model."""
+
+    endpoint: str
+
+    def embed(self, texts: list[str], model: str) -> list[list[float]]:
+        return lm_client.embed(self.endpoint, model, texts)  # a wrapper on lm_client.embed sees it
 
 
 @dataclass
@@ -302,16 +314,17 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
 class ResultStore:
     """Append-only JSONL result store with crash recovery.
 
-    A process killed mid-append leaves a truncated final line; open() trims it
-    so the pair is recomputed on resume. Any other line that is not JSON, or
-    is JSON but not a record, means real corruption and aborts with a
-    diagnostic naming the line.
+    A process killed mid-append leaves a torn final line. open() skips it, so
+    the pair is recomputed on resume, and append() cuts it off; open() never
+    writes. Any other line that is not JSON, or is JSON but not a record, is
+    corruption and aborts with a diagnostic naming the line.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self.records: list[ExtractionRecord] = []
         self._pairs: set[tuple[str, str]] = set()
+        self._torn = 0  # bytes after the file's last newline, when opened
 
     @classmethod
     def open(cls, path) -> "ResultStore":
@@ -320,13 +333,11 @@ class ResultStore:
         if not p.exists():
             return store
         raw = p.read_bytes()
-        if raw and not raw.endswith(b"\n"):
-            raw = raw[: raw.rfind(b"\n") + 1] if b"\n" in raw else b""
-            with open(p, "r+b") as fh:
-                fh.truncate(len(raw))
+        complete = raw[: raw.rfind(b"\n") + 1]  # empty when no line is complete
+        store._torn = len(raw) - len(complete)
         # Bytes split only at \n and \r, which JSON always escapes; str.splitlines
         # would also split at U+2028 or U+0085 inside a record's strings.
-        for lineno, line in enumerate(raw.splitlines(), start=1):
+        for lineno, line in enumerate(complete.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -357,6 +368,9 @@ class ResultStore:
             raise StoreCorruptError(f"duplicate append for pair {pair}")
         line = json.dumps(record.to_dict(), ensure_ascii=False)
         with open(self.path, "a", encoding="utf-8") as fh:
+            if self._torn:
+                fh.truncate(fh.tell() - self._torn)
+                self._torn = 0
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -485,6 +499,9 @@ def _compare_axis(axis: str, rows: list[tuple[PipelineConfig, MetricsReport]]) -
     for config, report in rows:
         node, key = _field(config.to_dict(), axis)
         cells.append((config.model_name, node[key], report.accuracy))
+    if isinstance(cells[0][1], dict):  # objects neither order nor hash; a field keeps one type
+        raise SweepError(f"axis {axis!r} takes objects as values; compare one of their "
+                         f"fields, such as '{axis}.{next(iter(cells[0][1]))}'")
     distinct = {repr(v): v for _, v, _ in cells}
     if len(distinct) != 2:
         raise SweepError(f"axis {axis!r} must take exactly 2 values in the store, got {len(distinct)}")

@@ -558,6 +558,25 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert err == "error: axis 'top_k' must take exactly 2 values in the store, got 3\n"
 
+    def test_compare_axis_whose_values_are_objects_exit_2(self, corpus_files, tmp_path, capsys):
+        grid = tmp_path / "object_grid.json"
+        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj["axes"] = {"prompt": [{"style": "simple"}, {"style": "complex"}],
+                            "model_name": ["m1", "m2"]}
+        grid_obj["sample"]["n"] = 6
+        grid.write_text(json.dumps(grid_obj))
+        store = tmp_path / "object.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"], "--no-timestamps"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--grid", str(grid),
+                     "--compare", "prompt"]) == 2
+        assert capsys.readouterr().err == (
+            "error: axis 'prompt' takes objects as values; compare one of their fields, "
+            "such as 'prompt.style'\n")
+
     def test_stored_report_without_gold_label_exit_2(self, corpus_files, tmp_path, capsys):
         grid = SweepGrid.from_file(corpus_files["grid"])
         store = tmp_path / "ghost.jsonl"

@@ -277,8 +277,10 @@ class TestEmbedRows:
         {"embedding": [math.nan, 1.0]},  # sent as the NaN that json.loads accepts
         {"embedding": [-math.inf, 1.0]},
         {"embedding": [1.3e154, 1.3e154]},
+        {"embedding": [1e200, 0.0]},  # 1e200 squared is inf, with no OverflowError
     ], ids=["missing", "nested", "ragged", "string", "null", "bool", "overflow", "empty",
-            "scalar", "object", "null-row", "nan", "infinity", "norm-overflow"])
+            "scalar", "object", "null-row", "nan", "infinity", "norm-overflow",
+            "square-overflow"])
     def test_malformed_row_is_protocol_error(self, reply):
         with pytest.raises(ProtocolError):
             _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": reply})
@@ -651,6 +653,21 @@ class TestMockServerErrors:
         err = capsys.readouterr().err
         assert "Exception occurred during processing of request from ('127.0.0.1', 1)" in err
         assert "ValueError: boom" in err
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400_and_a_closed_connection(self, length, capsys):
+        with MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)) as server:
+            with socket.create_connection(server._httpd.server_address[:2], timeout=2) as sock:
+                sock.sendall(f"POST /api/generate HTTP/1.1\r\nHost: x\r\n"
+                             f"Content-Length: {length}\r\n\r\n".encode("ascii"))
+                reply = b""
+                while chunk := sock.recv(4096):  # until the server closes; a hang times out
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {"error": f"invalid Content-Length {length!r}"}
+        assert capsys.readouterr().err == ""
 
 
 class TestMockModes:

@@ -152,6 +152,15 @@ def test_sweep_report_and_dense_retrieval_in_process_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_retrieval_and_the_mock_server_load_no_http_client():
+    script = ("import sys, reportex.retrieval, reportex.mock_server; "
+              "print(sorted({'reportex.lm_client', 'urllib.request'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_mock_embeddings_do_not_depend_on_the_hash_seed():
     texts = ["idh mutation detected", "BT-RADS 3c, stable", "..."]
     rows = []

@@ -160,7 +160,8 @@ class TestEnumerateConfigs:
         ({"temperature.x": [1]}, "unknown axis 'temperature.x'"),
         ({"top_k": []}, "axis 'top_k' must map to a nonempty value list"),
         ({"top_k": [2, 2]}, "grid produces duplicate configurations"),
-    ], ids=["dotted-through-a-number", "no-values", "duplicate-values"])
+        ({"temperature": [1, 1.0]}, "grid produces duplicate configurations"),
+    ], ids=["dotted-through-a-number", "no-values", "duplicate-values", "equal-numbers"])
     def test_malformed_axes_rejected(self, axes, message):
         with pytest.raises(SweepError, match=f"^{message}$"):
             enumerate_configs(SweepGrid(base=_config(), axes=axes))
@@ -317,10 +318,14 @@ class TestResultStore:
         path.write_text(good + bad_line + "\n")
         with pytest.raises(StoreCorruptError, match="line 2: unreadable record"):
             ResultStore.open(path)
-        # The same line cut short, with no newline, is a torn append: trimmed.
+        # The same line cut short, with no newline, is a torn append: skipped by
+        # open, which leaves the bytes as they are, and cut by the next append.
         path.write_text(good + bad_line)
-        assert ResultStore.open(path).pairs == {("r1", "c1")}
-        assert path.read_text() == good
+        store = ResultStore.open(path)
+        assert store.pairs == {("r1", "c1")}
+        assert path.read_text() == good + bad_line
+        store.append(self._record("r2", "c1"))
+        assert path.read_text() == good + json.dumps(self._record("r2", "c1").to_dict()) + "\n"
 
     def test_undecodable_line_aborts(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -329,10 +334,15 @@ class TestResultStore:
         path.write_bytes(good + b"\xff\xfe\n")
         with pytest.raises(StoreCorruptError, match="line 2: unreadable record"):
             ResultStore.open(path)
-        # The same bytes with no newline are a torn append: trimmed.
+        # The same bytes with no newline are a torn append: skipped by open, which
+        # leaves the bytes as they are, and cut by the next append.
         path.write_bytes(good + b"\xff\xfe")
-        assert ResultStore.open(path).pairs == {("r1", "c1")}
-        assert path.read_bytes() == good
+        store = ResultStore.open(path)
+        assert store.pairs == {("r1", "c1")}
+        assert path.read_bytes() == good + b"\xff\xfe"
+        store.append(self._record("r2", "c1"))
+        line = json.dumps(self._record("r2", "c1").to_dict()) + "\n"
+        assert path.read_bytes() == good + line.encode("utf-8")
 
     @pytest.mark.parametrize("field, value", [
         ("report_id", 5),
