@@ -52,13 +52,16 @@ def _unwritable(path: str, e: OSError) -> int:
 
 
 # A spec file names the task; each other CorpusSpec field it sets overrides
-# the task's default, and keys that are not spec fields are ignored.
-_SPEC_FIELDS = tuple((name, kind, name == "task") for name, kind, _ in dataclass_fields(CorpusSpec))
+# the task's default. A `comment` is ignored, and any other key is refused.
+_SPEC_FIELDS = (*((name, kind, name == "task") for name, kind, _ in dataclass_fields(CorpusSpec)),
+                ("comment", str, False))
 
 
 def cmd_generate_corpus(args) -> int:
     try:
-        given = check_object(json.loads(Path(args.spec).read_text(encoding="utf-8")), _SPEC_FIELDS)
+        given = check_object(json.loads(Path(args.spec).read_text(encoding="utf-8")),
+                             _SPEC_FIELDS, "spec", closed=True)
+        given.pop("comment", None)
         if args.seed is not None:
             given["seed"] = args.seed
         spec = replace(default_corpus_spec(given["task"], n_reports=1000, seed=0), **given)
@@ -76,8 +79,8 @@ def cmd_generate_corpus(args) -> int:
     return EXIT_OK
 
 
-# A report given as a JSON object; make_report checks `task`, which defaults
-# to the schema's, as a Task.
+# A report given as a JSON object; its `task`, which defaults to the
+# schema's, must be the schema's.
 _REPORT_FIELDS = (("id", str, False), ("task", str, False), ("text", str, True))
 
 
@@ -92,7 +95,11 @@ def _read_report(path_or_dash: str, schema) -> corpus_mod.Report:
         if not (isinstance(obj, dict) and "text" in obj):
             return make_report("stdin", schema.task, text)
         obj = check_object(obj, _REPORT_FIELDS)
-        return make_report(obj.get("id", "stdin"), obj.get("task", schema.task), obj["text"])
+        report = make_report(obj.get("id", "stdin"), obj.get("task", schema.task), obj["text"])
+        if report.task is not schema.task:
+            raise CorpusError(f"report task {report.task.value!r} is not the schema's "
+                              f"task {schema.task.value!r}")
+        return report
     except ValueError as e:
         raise CorpusError(f"{path_or_dash}: {e}") from e
 

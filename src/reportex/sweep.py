@@ -14,7 +14,6 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -142,12 +141,14 @@ class ExtractionRecord:
         return from_json(cls, d)
 
 
-# A grid file. `base` is checked as a pipeline config, and `axes` values as
-# the config fields they name, when the configs are built.
+# A grid file; any other key is refused. `base` is checked as a pipeline
+# config, and `axes` values as the config fields they name, when the configs
+# are built.
 _GRID_FIELDS = (
     ("base", object, True),
     ("axes", dict[str, list], False),
     ("sample", (("n", int, False), ("seed", int, False)), False),
+    ("comment", str, False),
 )
 
 
@@ -162,7 +163,7 @@ class SweepGrid:
     def from_file(cls, path) -> "SweepGrid":
         try:
             obj = check_object(json.loads(Path(path).read_text(encoding="utf-8")),
-                               _GRID_FIELDS, "grid")
+                               _GRID_FIELDS, "grid", closed=True)
             sample = obj.get("sample", {})
             sample_n = sample.get("n")
             if sample_n is not None and sample_n < 1:
@@ -183,6 +184,15 @@ def _field(d: dict, axis: str) -> tuple[dict, str]:
     if key not in d:
         raise SweepError(f"unknown axis {axis!r}")
     return d, key
+
+
+def _leaves(d: dict, prefix: str = ""):
+    """(axis name, value) of each non-object field of a config dict, in declaration order."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
 def enumerate_configs(grid: SweepGrid) -> list[PipelineConfig]:
@@ -385,12 +395,13 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     """Run every (report, config) pair not already in the store.
 
     A config whose prompt strategy the schema cannot render raises PromptError
-    before any pair runs, and a store path that cannot be appended to raises
-    SweepError; the store file exists once that check passes. Workers run
-    extractions concurrently (bounded pool); only this thread appends to the
-    store, one durable record per completed pair. Backend failures become
-    invalid records; any exception that stops the sweep cancels the queued
-    pairs. Interrupted sweeps resume by skipping completed pairs.
+    before any pair runs, and a report of another task than the schema's, or a
+    store path that cannot be appended to, raises SweepError; the store file
+    exists once those checks pass. Workers run extractions concurrently
+    (bounded pool); only this thread appends to the store, one durable record
+    per completed pair. Backend failures become invalid records; any
+    exception that stops the sweep cancels the queued pairs. Interrupted
+    sweeps resume by skipping completed pairs.
 
     Pairs are keyed by the hash each config computed when it was built. Each
     distinct generation request is sent once per call and its response shared
@@ -404,6 +415,10 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     if parallelism < 1:
         raise SweepError("parallelism must be >= 1")
     check_strategies(schema, [c.prompt for c in configs])
+    stray = next((r for r in reports if r.task is not schema.task), None)
+    if stray is not None:
+        raise SweepError(f"report {stray.id!r} has task {stray.task.value!r}, but the schema "
+                         f"is for {schema.task.value!r}")
     if backends is None:
         backends = PipelineBackends.remote(endpoint)
     try:
@@ -468,23 +483,15 @@ class AggregateResult:
     comparisons: list[AxisComparison]
     correlations: dict[str, dict | str]
 
-    # (CSV column, PipelineConfig attribute path) for the leading config cells
-    CONFIG_COLUMNS = (
-        ("config_hash", "config_hash"), ("model_name", "model_name"),
-        ("param_count_b", "param_count_b"), ("quant_bits", "quant_bits"),
-        ("prompt_style", "prompt.style.value"), ("few_shot", "prompt.few_shot.value"),
-        ("json_instruction", "prompt.json_instruction"), ("json_mode", "json_mode"),
-        ("temperature", "temperature"), ("top_k", "top_k"), ("top_p", "top_p"),
-        ("retrieval_mode", "retrieval.mode"), ("seed", "seed"),
-    )
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([column for column, _ in self.CONFIG_COLUMNS] + list(TABLE_COLUMNS))
-        for config, report in self.rows:
-            writer.writerow([attrgetter(path)(config) for _, path in self.CONFIG_COLUMNS]
-                            + [f"{v:.6f}" for v in report.csv_row()])
+        for i, (config, report) in enumerate(self.rows):
+            cells = dict(_leaves(config.to_dict()))
+            if i == 0:  # every config has the same fields
+                writer.writerow(["config_hash", *cells, *TABLE_COLUMNS])
+            writer.writerow([config.config_hash, *cells.values(),
+                             *(f"{v:.6f}" for v in report.csv_row())])
         return out.getvalue()
 
     def comparisons_json(self) -> dict:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import threading
 from dataclasses import replace
@@ -8,6 +10,7 @@ import pytest
 from reportex import corpus as corpus_mod
 from reportex.cli import main
 from reportex.corpus import (
+    PATHOLOGY_SCHEMA,
     RADIOLOGY_SCHEMA,
     LabelSchema,
     Task,
@@ -17,6 +20,7 @@ from reportex.corpus import (
     save_corpus,
     save_schema,
 )
+from reportex.metrics import TABLE_COLUMNS
 from reportex.mock_server import MockLmServer, MockMode, MockModel
 from reportex.prompting import FewShot, PromptStrategy
 from reportex.retrieval import RetrievalSettings
@@ -184,6 +188,16 @@ class TestGenerateCorpus:
                            length_mean_words=80.0, distractor_rate=0.9)
         assert seen == [expected]
 
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        spec = self._spec_file(tmp_path, n_report=5)
+        out = tmp_path / "x.jsonl"
+        assert main(["generate-corpus", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: invalid corpus spec (spec must have only the "
+                              "fields task, n_reports, ")
+        assert err.endswith(", comment, not 'n_report')\n")
+        assert not out.exists()
+
     def test_seed_flag_beats_spec_seed(self, tmp_path):
         spec = self._spec_file(tmp_path)
         out, expected = tmp_path / "cli.jsonl", tmp_path / "api.jsonl"
@@ -324,6 +338,16 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "schema has no label '2'" in err and len(err.splitlines()) == 1
 
+    def test_report_of_another_task_exit_2(self, corpus_files, tmp_path, capsys):
+        _, report = self._report_file(corpus_files, "2")
+        path = tmp_path / "pathology_report.json"
+        path.write_text(json.dumps({"id": report.id, "task": "pathology", "text": report.text}))
+        # a closed port: exit 3 would mean the backend was called
+        assert main(["extract", str(path), "--config", corpus_files["config"],
+                     "--schema", corpus_files["schema"], "--endpoint", "http://127.0.0.1:9"]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: report task 'pathology' is not "
+                                           "the schema's task 'radiology'\n")
+
     def test_backend_unreachable_exit_3(self, corpus_files, monkeypatch):
         monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRY_BASE", 0.001)
         path, _ = self._report_file(corpus_files, "2")
@@ -435,6 +459,73 @@ class TestSweepAndReport:
         assert len({r.config_hash for r in records}) == 2
         assert all(r.error is None for r in records)
         assert all(r.parsed.label == corpus_files["gold"][r.report_id] for r in records)
+
+    def test_report_table_has_every_config_field(self, corpus_files, tmp_path, capsys):
+        grid = tmp_path / "embed_grid.json"
+        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj["base"]["retrieval"]["mode"] = "dense"
+        grid_obj["axes"] = {"retrieval.embed_model": ["gte-large", "nomic-embed-text"]}
+        grid.write_text(json.dumps(grid_obj))
+        table = tmp_path / "embed.csv"
+        files = ["--grid", str(grid), "--corpus", corpus_files["corpus"],
+                 "--schema", corpus_files["schema"], "--store", str(tmp_path / "embed.jsonl")]
+        assert main(["sweep", *files, "--endpoint", corpus_files["endpoint"],
+                     "--no-timestamps"]) == 0
+        assert main(["report", *files, "--csv", str(table)]) == 0
+        header, *rows = csv.reader(io.StringIO(table.read_text()))
+        assert header == [
+            "config_hash", "model_name", "param_count_b", "quant_bits", "prompt.style",
+            "prompt.few_shot", "prompt.json_instruction", "temperature", "top_k", "top_p",
+            "json_mode", "retrieval.mode", "retrieval.chunk_size", "retrieval.overlap",
+            "retrieval.candidates", "retrieval.shortlist", "retrieval.rerank_threshold",
+            "retrieval.embed_model", "retrieval.bm25_k1", "retrieval.bm25_b", "seed",
+            *TABLE_COLUMNS]
+        first, second = (dict(zip(header[:-len(TABLE_COLUMNS)], row)) for row in rows)
+        assert {first["retrieval.embed_model"], second["retrieval.embed_model"]} == {
+            "gte-large", "nomic-embed-text"}
+        assert [k for k in first if first[k] != second[k]] == [
+            "config_hash", "retrieval.embed_model"]
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("extra, message", [
+        ({"axis": {"temperature": [0.0, 0.5]}},
+         "grid must have only the fields base, axes, sample, comment, not 'axis'"),
+        ({"sample": {"n": 3, "sampel": 1}},
+         "sample must have only the fields n, seed, not 'sampel'"),
+    ], ids=["top", "sample"])
+    def test_grid_with_an_unknown_key_exit_2(self, corpus_files, tmp_path, capsys, command,
+                                             extra, message):
+        grid = tmp_path / "typo_grid.json"
+        grid.write_text(json.dumps({**json.loads(open(corpus_files["grid"]).read()), **extra}))
+        store = tmp_path / "typo.jsonl"
+        assert main([command, "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     *_endpoint_args(command, corpus_files)]) == 2
+        assert f"{grid}: invalid grid file ({message})" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_grid_with_a_comment_runs(self, corpus_files, tmp_path, capsys):
+        grid = tmp_path / "comment_grid.json"
+        grid.write_text(json.dumps({**json.loads(open(corpus_files["grid"]).read()),
+                                    "comment": "top_k at 2 and 40"}))
+        store = tmp_path / "comment.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"], "--no-timestamps"]) == 0
+        assert len(store.read_text().splitlines()) == 40
+
+    def test_corpus_of_another_task_exit_2(self, corpus_files, tmp_path, capsys, monkeypatch):
+        # a closed port and no retries: a pair that ran would be stored as an error record
+        monkeypatch.setattr("reportex.lm_client.DEFAULT_RETRIES", 0)
+        schema = tmp_path / "pathology_schema.json"
+        save_schema(schema, PATHOLOGY_SCHEMA)
+        store = tmp_path / "mismatch.jsonl"
+        assert main(["sweep", "--grid", corpus_files["grid"], "--corpus", corpus_files["corpus"],
+                     "--schema", str(schema), "--store", str(store),
+                     "--endpoint", "http://127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert "has task 'radiology', but the schema is for 'pathology'" in err
+        assert len(err.splitlines()) == 1 and not store.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
     @pytest.mark.parametrize("grid_obj, part", [

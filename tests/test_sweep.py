@@ -444,6 +444,18 @@ class TestRunSweep:
         assert all(r.parsed.is_valid for r in store.records)
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
 
+    def test_report_of_another_task_raises_before_any_pair(self, tmp_path, radiology_corpus):
+        reports, _ = radiology_corpus
+        calls = []
+        backends = PipelineBackends(generate=calls.append, embedder=MockHashEmbedder(),
+                                    reranker=TokenOverlapReranker())
+        stray = replace(reports[2], task=Task.PATHOLOGY)
+        with pytest.raises(SweepError, match=f"report '{stray.id}' has task 'pathology', but "
+                                             "the schema is for 'radiology'"):
+            run_sweep([*reports[:2], stray], [_config()], None, tmp_path / "s.jsonl",
+                      RADIOLOGY_SCHEMA, backends=backends)
+        assert calls == [] and not (tmp_path / "s.jsonl").exists()
+
     def test_resume_matches_uninterrupted(self, tmp_path, radiology_corpus, oracle_backends):
         reports, _ = radiology_corpus
         configs = [_config(), _config(temperature=0.5)]
