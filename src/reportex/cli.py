@@ -85,14 +85,14 @@ _REPORT_FIELDS = (("id", str, False), ("task", str, False), ("text", str, True))
 
 
 def _read_report(path_or_dash: str, schema) -> corpus_mod.Report:
-    """The report a JSON object with a "text" field holds, else the whole input as text."""
+    """The report an input that is a JSON object holds, else the whole input as text."""
     try:
         text = sys.stdin.read() if path_or_dash == "-" else Path(path_or_dash).read_text(encoding="utf-8")
         try:
             obj = json.loads(text)
         except json.JSONDecodeError:
             obj = None
-        if not (isinstance(obj, dict) and "text" in obj):
+        if not isinstance(obj, dict):
             return make_report("stdin", schema.task, text)
         obj = check_object(obj, _REPORT_FIELDS)
         report = make_report(obj.get("id", "stdin"), obj.get("task", schema.task), obj["text"])

@@ -31,9 +31,11 @@ the first request. The bound holds across all callers: two sweep workers
 embedding at once share the same EMBED_CONCURRENCY requests in flight, over
 at most EMBED_CONCURRENCY connections. A bound per call would multiply with
 the callers and overflow a small server listen queue, where each dropped
-connection waits out a 1 s SYN retransmit. It returns one row per text, a
-list of Python floats scaled to unit L2 norm, and refuses a row holding NaN
-or an infinity; the client needs nothing beyond the standard library.
+connection waits out a 1 s SYN retransmit. It returns one row per text, the
+server's numbers as sent; a reply whose "embedding" is not a list of finite
+numbers is a ProtocolError. Scaling the rows and checking their shape and
+norm is left to retrieval.VectorIndex. The client needs nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import http.client
 import ipaddress
 import json
-import math
 import os
 import threading
 import time
@@ -268,23 +269,13 @@ def generate(endpoint: str, request: GenerationRequest) -> GenerationResponse:
 
 
 def _embedding(url: str, model: str, text: str) -> list[float]:
-    """The server's row for `text`, scaled to unit L2 norm; a zero row stays zero."""
+    """The server's row for `text`, its numbers as sent."""
     body = json.dumps({"model": model, "prompt": text}).encode("utf-8")
-    row = _post_with_retries(url, body, _EMBED_REPLY)["embedding"]
-    if not row:
-        raise ProtocolError(200, "embedding must not be empty")
-    try:
-        row = [float(x) for x in row]
-        norm = math.sqrt(math.fsum(x * x for x in row))
-    except OverflowError as e:  # an integer beyond float range, or a sum of squares beyond it
-        raise ProtocolError(200, f"embedding must have a finite norm: {e}") from e
-    if not math.isfinite(norm):  # a square beyond float range is inf, not an OverflowError
-        raise ProtocolError(200, f"embedding must have a finite norm: {str(row)[:80]}")
-    return [x / norm for x in row] if norm > 0 else row
+    return list(_post_with_retries(url, body, _EMBED_REPLY)["embedding"])
 
 
 def embed(endpoint: str, model: str, texts: list[str]) -> list[list[float]]:
-    """Embed each text through the server; rows come back L2-normalized, in input order.
+    """Embed each text through the server; one row per text, in input order.
 
     The requests run concurrently in the process-wide embedding pool. The
     first failure in input order is raised, and requests still queued are
@@ -297,8 +288,4 @@ def embed(endpoint: str, model: str, texts: list[str]) -> list[list[float]]:
     # back first instead of every caller's last row arriving at the end.
     with _embed_submit_lock:
         rows = _EMBED_POOL.map(_embedding, repeat(url), repeat(model), texts)
-    rows = list(rows)  # map cancels the queued requests when one raises
-    dims = {len(r) for r in rows}
-    if len(dims) != 1:
-        raise ProtocolError(200, f"inconsistent embedding dimensions: {sorted(dims)}")
-    return rows
+    return list(rows)  # map cancels the queued requests when one raises

@@ -166,6 +166,8 @@ class MockModel:
         return self._wire(model, json.dumps({self.schema.answer_key: label}))
 
     def embeddings(self, payload: dict) -> dict:
+        """Handle one /api/embeddings payload: MockHashEmbedder's unscaled row,
+        exact in JSON, so a client's row equals the in-process one."""
         return {"embedding": self.embedder.embed([payload.get("prompt", "")],
                                                  payload.get("model", ""))[0]}
 

@@ -145,27 +145,37 @@ def bm25_rank(query_terms: list[str], chunks: list[Chunk], stats: Bm25Stats,
 
 
 class VectorIndexError(ValueError):
-    """Embeddings unfit for a VectorIndex: the wrong shape, rows that are not
-    unit-normalized, or a query of another dimension or without a finite norm."""
+    """Embeddings unfit for a VectorIndex: the wrong shape, a value that is not
+    a number or lies beyond float range, a row without a finite nonzero norm,
+    or a query of another dimension or without a finite norm."""
 
 
 class VectorIndex:
-    """Flat exact-search index over unit-normalized chunk embeddings, kept as
-    one list of floats per chunk. Any iterable of rows will do, an ndarray
-    included."""
+    """Flat exact-search index over chunk embeddings, kept as one list of
+    floats per chunk. Each row is converted and scaled to unit L2 norm here,
+    once, so the scale of an embedder's rows does not matter. Any iterable of
+    rows will do, an ndarray included."""
 
     def __init__(self, chunks: list[Chunk], vectors: Iterable[Iterable[float]]):
-        try:
-            rows = [[float(x) for x in row] for row in vectors]
-        except (TypeError, ValueError) as e:
-            raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix") from e
-        if len(rows) != len(chunks) or len({len(row) for row in rows}) > 1:
-            raise VectorIndexError("vectors must be a (n_chunks, dimension) matrix")
-        if not all(abs(_norm(row) - 1.0) <= 1e-6 for row in rows):  # NaN fails it too
-            raise VectorIndexError("stored vectors must be unit-normalized (L2 norm 1 +- 1e-6)")
+        shape = "vectors must be a (n_chunks, dimension) matrix"
+        self.rows = []
+        for row in vectors:
+            row = _floats(row, shape)
+            norm = _norm(row)
+            if not 0.0 < norm < math.inf:  # NaN fails it too
+                raise VectorIndexError("stored vectors must have a finite nonzero L2 norm")
+            self.rows.append([x / norm for x in row])
+        if len(self.rows) != len(chunks) or len({len(row) for row in self.rows}) > 1:
+            raise VectorIndexError(shape)
         self.chunks = tuple(chunks)
-        self.rows = rows
-        self.dimension = len(rows[0]) if rows else 0
+        self.dimension = len(self.rows[0]) if self.rows else 0
+
+
+def _floats(values, message: str) -> list[float]:
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an int beyond float range
+        raise VectorIndexError(message) from e
 
 
 def _norm(row: list[float]) -> float:
@@ -177,10 +187,7 @@ def _norm(row: list[float]) -> float:
 
 def dense_search(index: VectorIndex, query_vector, n: int) -> list[tuple[Chunk, float]]:
     """Exhaustive cosine-similarity top-n, descending, ties by chunk index."""
-    try:
-        q = [float(x) for x in query_vector]
-    except (TypeError, ValueError) as e:
-        raise VectorIndexError(f"query must be a vector of dimension {index.dimension}") from e
+    q = _floats(query_vector, f"query must be a vector of dimension {index.dimension}")
     if len(q) != index.dimension:
         raise VectorIndexError(
             f"query dimension ({len(q)},) does not match index ({index.dimension},)")
@@ -234,6 +241,9 @@ class RerankError(RuntimeError):
 
 
 class Embedder(Protocol):
+    """One row of numbers per text, in input order, at any scale: VectorIndex
+    and dense_search convert and scale each row."""
+
     def embed(self, texts: list[str], model: str) -> Sequence[Sequence[float]]: ...
 
 
@@ -260,13 +270,15 @@ def rerank(query: str, candidates: list[Chunk], scorer: RerankScorer) -> list[tu
 
 
 class MockHashEmbedder:
-    """Deterministic seeded-hash embedder: a text's vector is the normalized sum
-    of per-token vectors, so shared tokens raise cosine similarity.
+    """Deterministic seeded-hash embedder: a text's vector is the sum of its
+    per-token vectors, so shared tokens raise cosine similarity.
 
     A token's vector is the centred bytes of SHAKE-256 over the seed and the
     token, so it is the same in every process and for any dimension. embed()
-    returns one list of floats per text, the same rows for every model name; a
-    text without tokens is a zero row."""
+    returns one list of floats per text, the same rows for every model name,
+    unscaled: VectorIndex and dense_search scale them. Every value is a
+    multiple of 0.5, so a row is exact in JSON too. A text without tokens is
+    a zero row."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
         self.dimension = dimension
@@ -281,12 +293,8 @@ class MockHashEmbedder:
         return vec
 
     def embed(self, texts: list[str], model: str) -> list[list[float]]:
-        rows = []
-        for text in texts:
-            v = [sum(col) for col in zip(*map(self._token_vector, tokenize(text)))]
-            norm = _norm(v)
-            rows.append([x / norm for x in v] if norm > 0 else [0.0] * self.dimension)
-        return rows
+        return [[sum(col) for col in zip(*map(self._token_vector, tokenize(text)))]
+                or [0.0] * self.dimension for text in texts]
 
 
 class TokenOverlapReranker:

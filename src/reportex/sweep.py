@@ -395,13 +395,13 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     """Run every (report, config) pair not already in the store.
 
     A config whose prompt strategy the schema cannot render raises PromptError
-    before any pair runs, and a report of another task than the schema's, or a
-    store path that cannot be appended to, raises SweepError; the store file
-    exists once those checks pass. Workers run extractions concurrently
-    (bounded pool); only this thread appends to the store, one durable record
-    per completed pair. Backend failures become invalid records; any
-    exception that stops the sweep cancels the queued pairs. Interrupted
-    sweeps resume by skipping completed pairs.
+    before any pair runs, and a report of another task than the schema's, two
+    reports that share an id, or a store path that cannot be appended to,
+    raises SweepError; the store file exists once those checks pass. Workers
+    run extractions concurrently (bounded pool); only this thread appends to
+    the store, one durable record per completed pair. Backend failures
+    become invalid records; any exception that stops the sweep cancels the
+    queued pairs. Interrupted sweeps resume by skipping completed pairs.
 
     Pairs are keyed by the hash each config computed when it was built. Each
     distinct generation request is sent once per call and its response shared
@@ -415,10 +415,14 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     if parallelism < 1:
         raise SweepError("parallelism must be >= 1")
     check_strategies(schema, [c.prompt for c in configs])
-    stray = next((r for r in reports if r.task is not schema.task), None)
-    if stray is not None:
-        raise SweepError(f"report {stray.id!r} has task {stray.task.value!r}, but the schema "
-                         f"is for {schema.task.value!r}")
+    ids = set()
+    for report in reports:
+        if report.task is not schema.task:
+            raise SweepError(f"report {report.id!r} has task {report.task.value!r}, but the "
+                             f"schema is for {schema.task.value!r}")
+        if report.id in ids:  # pairs, the store and the memo know reports by id
+            raise SweepError(f"two reports share the id {report.id!r}")
+        ids.add(report.id)
     if backends is None:
         backends = PipelineBackends.remote(endpoint)
     try:

@@ -284,6 +284,27 @@ class TestExtract:
                      "--endpoint", corpus_files["endpoint"]]) == 2
         assert message in capsys.readouterr().err
 
+    def test_json_object_without_text_exit_2(self, corpus_files, tmp_path, capsys):
+        path = tmp_path / "misspelt_report.json"
+        path.write_text(json.dumps({"id": "r1", "task": "radiology", "txt": "no new lesion"}))
+        # a closed port: exit 3 would mean the backend was called
+        assert main(["extract", str(path), "--config", corpus_files["config"],
+                     "--schema", corpus_files["schema"], "--endpoint", "http://127.0.0.1:9"]) == 2
+        assert "text must be a string, not missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["prose", "json-number"])
+    def test_input_that_is_not_a_json_object_is_report_text(self, corpus_files, tmp_path,
+                                                            capsys, as_json):
+        path = tmp_path / "report.txt"
+        _, report = self._report_file(corpus_files, "4")
+        path.write_text("42" if as_json else report.text)
+        assert main(["extract", str(path), "--config", corpus_files["config"],
+                     "--schema", corpus_files["schema"],
+                     "--endpoint", corpus_files["endpoint"]]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["report_id"] == "stdin"
+        assert out["label"] == ("INVALID" if as_json else "4")
+
     @pytest.mark.parametrize("key, value", [
         ("answer_key", 5), ("nr_label", True), ("retrieval_keywords", ["w"]),
     ], ids=["answer_key", "nr_label", "retrieval_keywords"])

@@ -17,7 +17,13 @@ import pytest
 
 import reportex
 from reportex import lm_client, mock_server
-from reportex.corpus import RADIOLOGY_SCHEMA, Task, default_corpus_spec, generate_synthetic_corpus
+from reportex.corpus import (
+    PATHOLOGY_SCHEMA,
+    RADIOLOGY_SCHEMA,
+    Task,
+    default_corpus_spec,
+    generate_synthetic_corpus,
+)
 from reportex.lm_client import (
     EMBED_CONCURRENCY,
     GenerationRequest,
@@ -36,7 +42,14 @@ from reportex.mock_server import (
     load_garbage_fixtures,
     load_malformed_templates,
 )
-from reportex.retrieval import MockHashEmbedder
+from reportex.retrieval import (
+    Chunk,
+    MockHashEmbedder,
+    VectorIndex,
+    VectorIndexError,
+    split_recursive,
+    tokenize,
+)
 from reportex.sweep import PipelineConfig, record_seed, run_sweep
 
 
@@ -211,10 +224,19 @@ class TestEmbedWire:
         assert np.array_equal(vectors[0], vectors[1])
         assert len(vectors) == 2 and all(len(row) == 64 for row in vectors)
 
-    def test_normalized(self, oracle_server):
-        server, _, _ = oracle_server
-        vectors = embed(server.endpoint, "gte-large", ["some words here"])
-        assert np.linalg.norm(vectors[0]) == pytest.approx(1.0, abs=1e-9)
+    def test_index_rows_equal_in_process_rows_bit_for_bit(self):
+        # The mock sends its rows unscaled and exact in JSON, and VectorIndex alone
+        # scales them, so the wire changes no bit of an index row.
+        reports, _ = generate_synthetic_corpus(default_corpus_spec(Task.PATHOLOGY, 10, seed=3))
+        chunks = [c for r in reports for c in split_recursive(r.text, report_id=r.id)
+                  if tokenize(c.text)][:300]
+        texts = [c.text for c in chunks]
+        with MockLmServer(MockModel(MockMode.ORACLE, {}, PATHOLOGY_SCHEMA, seed=9)) as server:
+            wire = VectorIndex(chunks, embed(server.endpoint, "gte-large", texts))
+        local = VectorIndex(chunks, MockHashEmbedder(64, 9).embed(texts, "gte-large"))
+        assert len(chunks) == 300
+        assert [list(map(float.hex, row)) for row in wire.rows] == \
+            [list(map(float.hex, row)) for row in local.rows]
 
     def test_cosine_ordering(self, oracle_server):
         server, _, _ = oracle_server
@@ -248,46 +270,55 @@ class _ReplyModel(MockModel):
         return self.replies[payload["prompt"]]
 
 
+def _chunks(n):
+    return [Chunk("r", i, f"chunk {i}", i, i + 1) for i in range(n)]
+
+
 def _embed_replies(replies):
     with MockLmServer(_ReplyModel(replies)) as server:
         return embed(server.endpoint, "m", list(replies))
 
 
 class TestEmbedRows:
-    def test_rows_normalized_with_exact_sums(self):
+    def test_rows_come_back_as_sent(self):
         rows = _embed_replies({"a": {"embedding": [3, 4]}, "b": {"embedding": [0.0, 2.5]}})
-        assert rows == [[0.6, 0.8], [0.0, 1.0]]
-        assert all(type(x) is float for row in rows for x in row)
+        assert rows == [[3, 4], [0.0, 2.5]]
+        assert [list(map(type, row)) for row in rows] == [[int, int], [float, float]]
 
     def test_zero_row_stays_zero(self):
         assert _embed_replies({"a": {"embedding": [0, 0.0, 0]}}) == [[0.0, 0.0, 0.0]]
 
-    @pytest.mark.parametrize("reply", [
-        {},
-        {"embedding": [[0.6, 0.8]]},
-        {"embedding": [0.6, [0.8]]},
-        {"embedding": ["0.6", 0.8]},
-        {"embedding": [None, 1.0]},
-        {"embedding": [True, 1.0]},
-        {"embedding": [int("9" * 400)]},
-        {"embedding": []},
-        {"embedding": 0.6},
-        {"embedding": {"x": 0.6}},
-        {"embedding": None},
-        {"embedding": [math.nan, 1.0]},  # sent as the NaN that json.loads accepts
-        {"embedding": [-math.inf, 1.0]},
-        {"embedding": [1.3e154, 1.3e154]},
-        {"embedding": [1e200, 0.0]},  # 1e200 squared is inf, with no OverflowError
-    ], ids=["missing", "nested", "ragged", "string", "null", "bool", "overflow", "empty",
-            "scalar", "object", "null-row", "nan", "infinity", "norm-overflow",
-            "square-overflow"])
-    def test_malformed_row_is_protocol_error(self, reply):
-        with pytest.raises(ProtocolError):
-            _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": reply})
+    @pytest.mark.parametrize("reply, error", [
+        pytest.param({}, ProtocolError, id="missing"),
+        pytest.param({"embedding": [[0.6, 0.8]]}, ProtocolError, id="nested"),
+        pytest.param({"embedding": [0.6, [0.8]]}, ProtocolError, id="ragged"),
+        pytest.param({"embedding": ["0.6", 0.8]}, ProtocolError, id="string"),
+        pytest.param({"embedding": [None, 1.0]}, ProtocolError, id="null"),
+        pytest.param({"embedding": [True, 1.0]}, ProtocolError, id="bool"),
+        pytest.param({"embedding": [int("9" * 400), 0]}, VectorIndexError, id="overflow"),
+        pytest.param({"embedding": []}, VectorIndexError, id="empty"),
+        pytest.param({"embedding": 0.6}, ProtocolError, id="scalar"),
+        pytest.param({"embedding": {"x": 0.6}}, ProtocolError, id="object"),
+        pytest.param({"embedding": None}, ProtocolError, id="null-row"),
+        # sent as the NaN that json.loads accepts
+        pytest.param({"embedding": [math.nan, 1.0]}, ProtocolError, id="nan"),
+        pytest.param({"embedding": [-math.inf, 1.0]}, ProtocolError, id="infinity"),
+        pytest.param({"embedding": [1.3e154, 1.3e154]}, VectorIndexError, id="norm-overflow"),
+        # 1e200 squared is inf, with no OverflowError
+        pytest.param({"embedding": [1e200, 0.0]}, VectorIndexError, id="square-overflow"),
+    ])
+    def test_malformed_row_is_protocol_error(self, reply, error):
+        # The reply table refuses a row that is not a list of finite numbers as a
+        # ProtocolError. A list of finite numbers comes back as sent, and
+        # VectorIndex, the one owner of the vector contract, refuses its shape or norm.
+        with pytest.raises(error):
+            VectorIndex(_chunks(2), _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": reply}))
 
     def test_mixed_dimensions_raise(self):
-        with pytest.raises(ProtocolError, match="inconsistent embedding dimensions"):
-            _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": {"embedding": [1.0, 0.0, 0.0]}})
+        rows = _embed_replies({"a": {"embedding": [1.0, 0.0]}, "b": {"embedding": [1.0, 0.0, 0.0]}})
+        assert rows == [[1.0, 0.0], [1.0, 0.0, 0.0]]
+        with pytest.raises(VectorIndexError, match=r"\(n_chunks, dimension\) matrix"):
+            VectorIndex(_chunks(2), rows)
 
 
 class _InFlightModel(MockModel):

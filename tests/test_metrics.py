@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.stats
 from reportex.corpus import LabelSchema, Task
 from reportex.metrics import (
     INVALID_LABEL,
+    ConfusionMatrix,
     MetricsError,
     cohens_d,
     compute_metrics,
@@ -123,6 +125,13 @@ class TestComputeMetrics:
         with pytest.raises(MetricsError):
             compute_metrics(confusion([], [], ABC))
 
+    def test_counts_only_in_the_invalid_row_rejected(self):
+        # confusion() never fills the INVALID row; a hand-built matrix can
+        classes = ("A", "B", INVALID_LABEL)
+        cm = ConfusionMatrix(classes, ((0, 0, 0), (0, 0, 0), (1, 0, 2)))
+        with pytest.raises(MetricsError, match="no gold class has support > 0"):
+            compute_metrics(cm)
+
 
 class TestTDistribution:
     def test_cdf_against_scipy(self):
@@ -133,6 +142,10 @@ class TestTDistribution:
             ours = t_two_sided_p(t, df)
             ref = 2 * scipy.stats.t.sf(abs(t), df)
             assert abs(ours - ref) <= 1e-9, (t, df)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_statistic_has_p_zero(self, t):
+        assert t_two_sided_p(t, 5.0) == 0.0
 
 
 class TestTTests:

@@ -237,9 +237,10 @@ class TestDenseSearch:
         with pytest.raises(ValueError):
             dense_search(index, np.array([1.0, 0.0, 0.0]), 1)
 
-    def test_non_unit_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            VectorIndex(_chunks(["a"]), np.array([[2.0, 0.0]]))
+    def test_rows_scaled_to_unit_norm(self):
+        index = VectorIndex(_chunks(["a", "b"]), np.array([[3.0, 4.0], [0.0, 2.5]]))
+        assert index.rows == [[0.6, 0.8], [0.0, 1.0]]
+        assert all(type(x) is float for row in index.rows for x in row)
 
     def test_row_lists_and_ndarrays_search_alike(self):
         rng = np.random.default_rng(6)
@@ -259,18 +260,22 @@ class TestDenseSearch:
         [[1.0, 0.0], [0.0, 1.0, 0.0]],
         [[1.0, 0.0], [0.0, "x"]],
         [1.0, 0.0],
-        [[1.0, 0.0], [0.0, 0.5]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], []],
         [[math.nan, 0.0], [1.0, 0.0]],
+        [[1.0, 0.0], [10 ** 400, 0]],
         [[1.0, 0.0], [1.3e154, 1.3e154]],
-    ], ids=["row-count", "ragged", "non-numeric", "flat", "not-unit", "nan", "norm-overflow"])
+        [[1.0, 0.0], [1e200, 0.0]],  # 1e200 squared is inf, with no OverflowError
+    ], ids=["row-count", "ragged", "non-numeric", "flat", "zero-row", "empty-row", "nan",
+            "int-overflow", "norm-overflow", "square-overflow"])
     def test_malformed_vectors_rejected(self, vectors):
         with pytest.raises(VectorIndexError):
             VectorIndex(_chunks(["a", "b"]), vectors)
 
-    @pytest.mark.parametrize("query", [5.0, [1.0, "x"], [1.0], [math.nan, 0.0], [math.inf, 0.0],
-                                       [1.3e154, 1.3e154]],
-                             ids=["scalar", "non-numeric", "short", "nan", "infinity",
-                                  "norm-overflow"])
+    @pytest.mark.parametrize("query", [5.0, [1.0, "x"], [1.0], [], [math.nan, 0.0],
+                                       [math.inf, 0.0], [10 ** 400, 0], [1.3e154, 1.3e154]],
+                             ids=["scalar", "non-numeric", "short", "empty", "nan", "infinity",
+                                  "int-overflow", "norm-overflow"])
     def test_malformed_query_rejected(self, query):
         index = VectorIndex(_chunks(["a", "b"]), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(VectorIndexError):
@@ -703,9 +708,12 @@ class TestMockEmbedder:
         assert MockHashEmbedder().embed(texts, "gte-large") == \
             MockHashEmbedder().embed(texts, "nomic-embed-text")
 
-    def test_unit_norm(self):
-        v = MockHashEmbedder().embed(["some tokens here"], MODEL)[0]
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
+    def test_rows_are_unscaled_token_sums(self):
+        emb = MockHashEmbedder(dimension=8)
+        some, tokens = (emb.embed([t], MODEL)[0] for t in ("some", "tokens"))
+        row = emb.embed(["some tokens, some"], MODEL)[0]
+        assert row == [2 * a + b for a, b in zip(some, tokens)]
+        assert all((2 * x).is_integer() for x in row)  # multiples of 0.5: exact in JSON
 
     def test_empty_text_zero_vector(self):
         assert MockHashEmbedder().embed(["..."], MODEL) == [[0.0] * 64]

@@ -456,6 +456,17 @@ class TestRunSweep:
                       RADIOLOGY_SCHEMA, backends=backends)
         assert calls == [] and not (tmp_path / "s.jsonl").exists()
 
+    def test_reports_sharing_an_id_raise_before_any_pair(self, tmp_path, radiology_corpus):
+        reports, _ = radiology_corpus
+        calls, embedder = [], _CountingEmbedder()
+        backends = PipelineBackends(generate=calls.append, embedder=embedder,
+                                    reranker=TokenOverlapReranker())
+        twin = replace(reports[2], id=reports[0].id)
+        with pytest.raises(SweepError, match=f"two reports share the id '{twin.id}'"):
+            run_sweep([*reports[:2], twin], _mode_configs(("off", "dense")), None,
+                      tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, backends=backends)
+        assert calls == [] and embedder.calls == [] and not (tmp_path / "s.jsonl").exists()
+
     def test_resume_matches_uninterrupted(self, tmp_path, radiology_corpus, oracle_backends):
         reports, _ = radiology_corpus
         configs = [_config(), _config(temperature=0.5)]
@@ -1086,7 +1097,7 @@ class _NanReranker:
 
 
 class _ScaledEmbedder:
-    """Rows twice as long as unit length: a matrix VectorIndex refuses."""
+    """MockHashEmbedder's rows, each value doubled."""
 
     def embed(self, texts, model):
         return [[2.0 * x for x in row] for row in MockHashEmbedder().embed(texts, model)]
@@ -1117,18 +1128,31 @@ class _ReplyModel(MockModel):
         return self.reply
 
 
-class _NanChunkModel(MockModel):
-    """Oracle mock whose /api/embeddings answers each report's first chunk with a NaN row."""
+class _RowModel(MockModel):
+    """Oracle mock whose /api/embeddings answers with `row` for the retrieval
+    query (`target` "query") or for each report's first chunk ("chunk")."""
 
-    def __init__(self, gold, reports):
+    def __init__(self, gold, reports, target, row):
         super().__init__(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
         self.texts = [r.text for r in reports]
+        self.target, self.row = target, row
 
     def embeddings(self, payload):
-        reply = super().embeddings(payload)
-        if any(text.startswith(payload["prompt"]) for text in self.texts):
-            reply["embedding"][0] = math.nan
-        return reply
+        prompt = payload["prompt"]
+        if (prompt == RADIOLOGY_SCHEMA.retrieval_keywords if self.target == "query"
+                else any(text.startswith(prompt) for text in self.texts)):
+            return {"embedding": self.row}
+        return super().embeddings(payload)
+
+
+# Rows the client passes on and VectorIndex refuses, as a chunk row and as the query row.
+_UNFIT_ROWS = {
+    "empty": [],
+    "int-overflow": [int("9" * 400)] + [0] * 63,
+    "norm-overflow": [1.3e154] * 64,
+    "square-overflow": [1e200] + [0.0] * 63,  # 1e200 squared is inf, with no OverflowError
+    "mixed-dimensions": [1.0] * 65,
+}
 
 
 class TestPairExceptions:
@@ -1165,13 +1189,19 @@ class TestPairExceptions:
         assert "NaN" not in (tmp_path / "s.jsonl").read_text()
         assert ResultStore.open(tmp_path / "s.jsonl").records == store.records
 
-    def test_bad_embedding_matrix_is_stored_by_class(self, tmp_path, radiology_corpus,
-                                                      oracle_backends):
-        reports, annotations = radiology_corpus
-        gold = {a.report_id: a.label for a in annotations}
-        store = self._sweep(tmp_path, reports, oracle_backends, embedder=_ScaledEmbedder())
-        self._assert_rag_pairs_errored(store, gold, VectorIndexError.__name__)
-        assert any("unit-normalized" in (r.error or "") for r in store.records)
+    def test_embedder_row_scale_leaves_the_store_unchanged(self, tmp_path, radiology_corpus,
+                                                           oracle_backends):
+        reports, _ = radiology_corpus
+        stores = {}
+        for name, embedder in (("plain", MockHashEmbedder()), ("doubled", _ScaledEmbedder())):
+            backends = PipelineBackends(oracle_backends.generate, embedder,
+                                        oracle_backends.reranker)
+            stores[name] = run_sweep(reports[:8], _mode_configs(), None,
+                                     tmp_path / f"{name}.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                                     backends=backends, no_timestamps=True)
+        assert not any(r.error for r in stores["plain"].records)
+        assert any(r.rag_used for r in stores["plain"].records)
+        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "doubled.jsonl").read_bytes()
 
     def test_overflowing_embedding_row_is_stored_by_class(self, tmp_path, radiology_corpus,
                                                           oracle_backends):
@@ -1184,7 +1214,7 @@ class TestPairExceptions:
                                                               radiology_corpus):
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
-        model = _NanChunkModel(gold, reports)
+        model = _RowModel(gold, reports, "chunk", [math.nan] + [0.0] * 63)
         with MockLmServer(model) as server:
             store = run_sweep(reports[:2], _mode_configs(("off", "dense")), server.endpoint,
                               tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
@@ -1192,6 +1222,21 @@ class TestPairExceptions:
         self._assert_rag_pairs_errored(store, gold, "ProtocolError")
         assert all("embedding must be a list of numbers, not a list holding NaN" in r.error
                    for r in store.records if r.error)
+
+    @pytest.mark.parametrize("target, row", [
+        *((target, row) for target in ("chunk", "query") for row in _UNFIT_ROWS.values()),
+        ("chunk", [0.0] * 64),
+    ], ids=[*(f"{target}-{name}" for target in ("chunk", "query") for name in _UNFIT_ROWS),
+            "chunk-zero"])
+    def test_unfit_embedding_over_the_wire_is_stored_as_an_error(self, tmp_path,
+                                                                 radiology_corpus, target, row):
+        reports, annotations = radiology_corpus
+        gold = {a.report_id: a.label for a in annotations}
+        with MockLmServer(_RowModel(gold, reports[:2], target, row)) as server:
+            store = run_sweep(reports[:2], _mode_configs(("off", "dense")), server.endpoint,
+                              tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
+                              no_timestamps=True)
+        self._assert_rag_pairs_errored(store, gold, VectorIndexError.__name__)
 
     def test_other_value_error_aborts_the_sweep(self, tmp_path, radiology_corpus,
                                                 oracle_backends):
