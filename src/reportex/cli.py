@@ -148,6 +148,9 @@ def cmd_sweep(args) -> int:
         if grid.sample_n is not None:
             seed = args.seed if args.seed is not None else grid.sample_seed
             reports = sample_reports(reports, grid.sample_n, seed)
+        elif args.seed is not None:
+            raise SweepError(f"{args.grid}: --seed overrides the grid's sample seed, "
+                             "but the grid has no sample")
         endpoint = resolve_endpoint(args.endpoint)
     except (OSError, CorpusError, SweepError, LmClientError) as e:
         return _fail(EXIT_CONFIG, str(e))

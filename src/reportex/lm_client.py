@@ -141,9 +141,9 @@ def resolve_endpoint(configured: str | None) -> str:
     endpoint = os.environ.get(ENDPOINT_ENV_VAR) or configured
     if not endpoint:
         raise LmClientError(f"no endpoint configured and {ENDPOINT_ENV_VAR} is unset")
-    parts = urllib.parse.urlsplit(endpoint)
-    try:
-        parts.port  # raises ValueError for a port that is not a number in 0-65535
+    try:  # urlsplit refuses a malformed IPv6 host, .port a port not in 0-65535
+        parts = urllib.parse.urlsplit(endpoint)
+        parts.port
     except ValueError as e:
         raise LmClientError(f"endpoint {endpoint!r}: {e}") from e
     if parts.scheme not in ("http", "https") or not parts.hostname:

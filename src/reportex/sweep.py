@@ -396,12 +396,13 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
 
     A config whose prompt strategy the schema cannot render raises PromptError
     before any pair runs, and a report of another task than the schema's, two
-    reports that share an id, or a store path that cannot be appended to,
-    raises SweepError; the store file exists once those checks pass. Workers
-    run extractions concurrently (bounded pool); only this thread appends to
-    the store, one durable record per completed pair. Backend failures
-    become invalid records; any exception that stops the sweep cancels the
-    queued pairs. Interrupted sweeps resume by skipping completed pairs.
+    reports that share an id, two configs that share a config_hash, or a store
+    path that cannot be appended to, raises SweepError; the store file exists
+    once those checks pass. Workers run extractions concurrently (bounded
+    pool); only this thread appends to the store, one durable record per
+    completed pair. Backend failures become invalid records; any exception
+    that stops the sweep cancels the queued pairs. Interrupted sweeps resume
+    by skipping completed pairs.
 
     Pairs are keyed by the hash each config computed when it was built. Each
     distinct generation request is sent once per call and its response shared
@@ -423,6 +424,11 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
         if report.id in ids:  # pairs, the store and the memo know reports by id
             raise SweepError(f"two reports share the id {report.id!r}")
         ids.add(report.id)
+    hashes = set()
+    for config in configs:
+        if config.config_hash in hashes:  # the store knows a config by its hash
+            raise SweepError(f"two configs share the config_hash {config.config_hash}")
+        hashes.add(config.config_hash)
     if backends is None:
         backends = PipelineBackends.remote(endpoint)
     try:

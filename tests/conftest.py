@@ -1,9 +1,11 @@
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import reportex
 from reportex.corpus import (
     PATHOLOGY_SCHEMA,
     RADIOLOGY_SCHEMA,
@@ -37,3 +39,13 @@ def small_radiology_corpus():
     """200 short synthetic radiology reports with gold labels."""
     spec = default_corpus_spec(Task.RADIOLOGY, 200, seed=11)
     return generate_synthetic_corpus(spec)
+
+
+@pytest.fixture
+def package_env():
+    """The environment for a child interpreter that must import the reportex
+    this one imported, whether the checkout's src/ or an installed wheel: its
+    directory goes first on PYTHONPATH."""
+    where = str(Path(reportex.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [where, os.environ.get("PYTHONPATH")]))}

@@ -396,7 +396,8 @@ class TestEndpointChecked:
         ("localhost:11434", None),
         (None, "http://127.0.0.1:99999"),
         (None, "http://127.0.0.1:abc"),
-    ], ids=["no-scheme", "port-out-of-range", "port-not-a-number"])
+        ("http://[::1", None),
+    ], ids=["no-scheme", "port-out-of-range", "port-not-a-number", "malformed-ipv6-host"])
     def test_bad_endpoint_exit_2(self, corpus_files, tmp_path, capsys, monkeypatch, command,
                                  configured, env):
         if env is not None:
@@ -405,6 +406,7 @@ class TestEndpointChecked:
                          configured or corpus_files["endpoint"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(env or configured) in err  # the message names the endpoint
         assert "Traceback" not in err
         assert not (tmp_path / "s.jsonl").exists()
 
@@ -417,7 +419,8 @@ class TestSweepAndReport:
                      "--endpoint", corpus_files["endpoint"], "--parallelism", "4",
                      "--no-timestamps"])
         assert code == 0
-        assert len(store.read_text().splitlines()) == 40  # 20 reports x 2 configs
+        swept = store.read_bytes()
+        assert len(swept.splitlines()) == 40  # 20 reports x 2 configs
         capsys.readouterr()
 
         csv_path = tmp_path / "table.csv"
@@ -425,6 +428,7 @@ class TestSweepAndReport:
                      "--schema", corpus_files["schema"], "--grid", corpus_files["grid"],
                      "--csv", str(csv_path), "--compare", "top_k"])
         assert code == 0
+        assert store.read_bytes() == swept  # reading a store leaves its bytes as they were
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 3
         for line in lines[1:]:
@@ -627,6 +631,17 @@ class TestSweepAndReport:
                      "--schema", corpus_files["schema"], "--store", str(store),
                      *_endpoint_args(command, corpus_files)]) == 2
         assert message in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_seed_without_a_grid_sample_exit_2(self, corpus_files, tmp_path, capsys):
+        grid = tmp_path / "unsampled_grid.json"
+        grid.write_text(json.dumps({"base": {"model_name": "m"}}))
+        store = tmp_path / "unsampled.jsonl"
+        assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
+                     "--schema", corpus_files["schema"], "--store", str(store),
+                     "--endpoint", corpus_files["endpoint"], "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed overrides the grid's sample seed, but the grid has no sample" in err
         assert not store.exists()
 
     def test_incomplete_store_exit_4(self, corpus_files, tmp_path, capsys):

@@ -1,7 +1,6 @@
 import http.client
 import json
 import math
-import os
 import select
 import socket
 import subprocess
@@ -10,12 +9,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import reportex
 from reportex import lm_client, mock_server
 from reportex.corpus import (
     PATHOLOGY_SCHEMA,
@@ -207,14 +204,11 @@ class TestErrorMapping:
             with pytest.raises(RequestTimeout):
                 generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
 
-    def test_import_leaves_requests_unloaded(self):
-        src = str(Path(reportex.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    def test_import_leaves_requests_unloaded(self, package_env):
         subprocess.run([sys.executable, "-c",
                         "import reportex.cli, reportex.mock_server, sys; "
                         "assert 'requests' not in sys.modules"],
-                       check=True, env=env)
+                       check=True, env=package_env)
 
 
 class TestEmbedWire:
@@ -401,15 +395,12 @@ class TestEmbedConcurrency:
         assert texts[0] in model.seen
         assert len(model.seen) < 50
 
-    def test_import_starts_no_threads(self):
-        src = str(Path(reportex.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    def test_import_starts_no_threads(self, package_env):
         subprocess.run([sys.executable, "-c",
                         "import threading; before = threading.active_count(); "
                         "import reportex; from reportex import lm_client as c; "
                         "assert threading.active_count() == before"],
-                       check=True, env=env)
+                       check=True, env=package_env)
 
 
 class _CountingHandler(mock_server._Handler):

@@ -10,7 +10,16 @@ from itertools import product
 import pytest
 
 from reportex import prompting
-from reportex.corpus import PATHOLOGY_SCHEMA, RADIOLOGY_SCHEMA, LabelSchema, Task
+from reportex.corpus import (
+    BUILTIN_SCHEMAS,
+    PATHOLOGY_SCHEMA,
+    RADIOLOGY_SCHEMA,
+    LabelSchema,
+    Task,
+    default_corpus_spec,
+    generate_synthetic_corpus,
+)
+from reportex.mock_server import MockMode, MockModel
 from reportex.prompting import (
     _TASK_PHRASE,
     _TEMPLATES,
@@ -80,6 +89,21 @@ def test_fixed_text_is_every_prompt_without_its_context():
         for strategy in ALL_STRATEGIES:
             expected += build_prompt(context, schema, strategy).split(marker)
         assert prompting.fixed_text(schema) == expected
+
+
+@pytest.mark.parametrize("task", list(Task), ids=lambda task: task.value)
+def test_the_oracle_mock_answers_gold_to_every_prompt(task):
+    # The mock names the report whose text the prompt holds; only a corpus of
+    # several gold labels tells that from a reply that ignores the report.
+    schema = BUILTIN_SCHEMAS[task]
+    reports, annotations = generate_synthetic_corpus(default_corpus_spec(task, 20, seed=3))
+    gold = {a.report_id: a.label for a in annotations}
+    assert len(set(gold.values())) >= 2
+    model = MockModel(MockMode.ORACLE, gold, schema, reports)
+    for strategy, report in product(ALL_STRATEGIES, reports):
+        prompt = build_prompt(RetrievedContext(report.text, False, None, ()), schema, strategy)
+        reply = model.complete({"model": "m", "prompt": prompt})["response"]
+        assert reply == f'{{"{schema.answer_key}": "{gold[report.id]}"}}', (strategy, report.id)
 
 
 def test_fixed_text_leaves_out_strategies_the_schema_cannot_render():

@@ -1,17 +1,16 @@
 """The client and the mock server run on the standard library alone. Each
-script below runs in a fresh interpreter that refuses to import numpy: a RAG
-sweep over HTTP, dense retrieval included, and its report, with the mock
-server in a process of its own; an in-process sweep, its report and dense
-retrieval; and the mock's embedder, whose rows do not depend on the
-interpreter's hash seed."""
+script below runs in a fresh interpreter that refuses to import numpy and
+imports the reportex this module imported: a sweep over HTTP across every
+retrieval mode and two embedding models, and its report, with the mock server
+in a process of its own; an in-process sweep, its report and dense retrieval;
+and the mock's embedder, whose rows do not depend on the interpreter's hash
+seed. The installed-package CI job runs this module against the wheel, in an
+environment with no numpy installed."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import reportex
 from reportex.corpus import (
     PATHOLOGY_SCHEMA,
     Task,
@@ -105,25 +104,22 @@ print(json.dumps(MockHashEmbedder(64, 5).embed(json.loads(sys.argv[1]), "gte-lar
 """
 
 
-def _env():
-    src = str(Path(reportex.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
-def test_rag_sweep_and_report_over_http_without_numpy(tmp_path):
+def test_rag_sweep_and_report_over_http_without_numpy(tmp_path, package_env):
     reports, annotations = generate_synthetic_corpus(
         default_corpus_spec(Task.PATHOLOGY, 20, seed=44))
     reports = sorted(reports, key=lambda r: len(r.text))[:5]  # 336 to 2463 characters
+    gold = {a.report_id: a.label for a in annotations}
     corpus, schema, grid, store = (tmp_path / name for name in (
         "corpus.jsonl", "schema.json", "grid.json", "store.jsonl"))
     save_corpus(corpus, reports, annotations)
     save_schema(schema, PATHOLOGY_SCHEMA)
     base = PipelineConfig(model_name="m", retrieval=RetrievalSettings(mode="dense"))
     grid.write_text(json.dumps({
-        "base": base.to_dict(), "axes": {"retrieval.mode": ["dense", "hybrid", "sequential"]}}))
+        "base": base.to_dict(), "axes": {
+            "retrieval.mode": ["off", "dense", "hybrid", "sequential"],
+            "retrieval.embed_model": ["gte-large", "nomic-embed-text"]}}))
 
-    server = subprocess.Popen([sys.executable, "-c", SERVER, str(corpus)], env=_env(),
+    server = subprocess.Popen([sys.executable, "-c", SERVER, str(corpus)], env=package_env,
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     try:
         endpoint = server.stdout.readline().strip()
@@ -131,42 +127,44 @@ def test_rag_sweep_and_report_over_http_without_numpy(tmp_path):
         files = ["--grid", str(grid), "--corpus", str(corpus), "--schema", str(schema)]
         argvs = [["sweep", *files, "--store", str(store), "--endpoint", endpoint,
                   "--parallelism", "2", "--no-timestamps"],
-                 ["report", *files, "--store", str(store), "--csv", str(tmp_path / "t.csv")]]
-        client = subprocess.run([sys.executable, "-c", CLIENT, json.dumps(argvs)], env=_env(),
-                                capture_output=True, text=True, timeout=120)
+                 ["report", *files, "--store", str(store), "--csv", str(tmp_path / "t.csv"),
+                  "--compare", "retrieval.embed_model"]]
+        client = subprocess.run([sys.executable, "-c", CLIENT, json.dumps(argvs)],
+                                env=package_env, capture_output=True, text=True, timeout=120)
     finally:
         server.stdin.close()
         server_code = server.wait(timeout=30)
     assert client.returncode == 0, client.stderr
     assert server_code == 0
     records = ResultStore.open(store).records
-    assert len(records) == 15  # 5 reports x 3 modes
+    assert len(records) == 40  # 5 reports x 4 modes x 2 embedding models
     assert all(r.error is None for r in records)
     assert any(r.rag_used for r in records)
-    assert len((tmp_path / "t.csv").read_text().splitlines()) == 4
+    assert all(r.parsed.label == gold[r.report_id] for r in records)
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 9
 
 
-def test_sweep_report_and_dense_retrieval_in_process_without_numpy(tmp_path):
+def test_sweep_report_and_dense_retrieval_in_process_without_numpy(tmp_path, package_env):
     proc = subprocess.run([sys.executable, "-c", IN_PROCESS, str(tmp_path / "store.jsonl")],
-                          env=_env(), capture_output=True, text=True, timeout=120)
+                          env=package_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_retrieval_and_the_mock_server_load_no_http_client():
+def test_retrieval_and_the_mock_server_load_no_http_client(package_env):
     script = ("import sys, reportex.retrieval, reportex.mock_server; "
               "print(sorted({'reportex.lm_client', 'urllib.request'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", script], env=_env(),
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-def test_mock_embeddings_do_not_depend_on_the_hash_seed():
+def test_mock_embeddings_do_not_depend_on_the_hash_seed(package_env):
     texts = ["idh mutation detected", "BT-RADS 3c, stable", "..."]
     rows = []
     for hash_seed in ("1", "2"):
         proc = subprocess.run([sys.executable, "-c", EMBED, json.dumps(texts)],
-                              env={**_env(), "PYTHONHASHSEED": hash_seed},
+                              env={**package_env, "PYTHONHASHSEED": hash_seed},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         rows.append(json.loads(proc.stdout))

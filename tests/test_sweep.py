@@ -467,6 +467,18 @@ class TestRunSweep:
                       tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, backends=backends)
         assert calls == [] and embedder.calls == [] and not (tmp_path / "s.jsonl").exists()
 
+    def test_configs_sharing_a_hash_raise_before_any_pair(self, tmp_path, radiology_corpus):
+        reports, _ = radiology_corpus
+        calls, embedder = [], _CountingEmbedder()
+        backends = PipelineBackends(generate=calls.append, embedder=embedder,
+                                    reranker=TokenOverlapReranker())
+        config = _config()
+        with pytest.raises(SweepError,
+                           match="two configs share the config_hash " + config.config_hash):
+            run_sweep(reports[:3], [config, config], None, tmp_path / "s.jsonl",
+                      RADIOLOGY_SCHEMA, backends=backends)
+        assert calls == [] and embedder.calls == [] and not (tmp_path / "s.jsonl").exists()
+
     def test_resume_matches_uninterrupted(self, tmp_path, radiology_corpus, oracle_backends):
         reports, _ = radiology_corpus
         configs = [_config(), _config(temperature=0.5)]
