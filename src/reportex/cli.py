@@ -20,7 +20,7 @@ from . import sweep as sweep_mod
 from .corpus import CorpusError, CorpusSpec, default_corpus_spec, load_corpus, load_schema, make_report
 from .inputs import check_object, dataclass_fields
 from .lm_client import LmClientError, resolve_endpoint
-from .metrics import MetricsError
+from .metrics import INVALID_LABEL, MetricsError
 from .prompting import PromptError, check_strategies
 from .sweep import (
     MissingRecordsError,
@@ -120,7 +120,7 @@ def cmd_extract(args) -> int:
         return _fail(EXIT_BACKEND, " ".join(record.error.splitlines()))
     out = {
         "report_id": record.report_id,
-        "label": record.parsed.label if record.parsed.is_valid else "INVALID",
+        "label": record.parsed.label if record.parsed.is_valid else INVALID_LABEL,
         "rag_used": record.rag_used,
     }
     if not record.parsed.is_valid:

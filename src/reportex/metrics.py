@@ -59,14 +59,6 @@ def confusion(preds: list[ParsedLabel], gold: list[str], schema: LabelSchema) ->
 
 
 @dataclass(frozen=True)
-class PerClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     accuracy: float
     macro_precision: float
@@ -75,8 +67,6 @@ class MetricsReport:
     micro_recall: float
     macro_f1: float
     micro_f1: float
-    per_class: dict[str, PerClassMetrics]
-    n: int
 
     def csv_row(self) -> list[float]:
         """Metric values in the result-table column order."""
@@ -98,21 +88,17 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     if n == 0:
         raise MetricsError("empty confusion matrix")
     gold_classes = [c for c in cm.classes if c != INVALID_LABEL]
-    per_class: dict[str, PerClassMetrics] = {}
     macro_terms = []
     tp_total = 0
     for c in gold_classes:
         i = cm.index(c)
         tp = cm.counts[i][i]
-        fp = sum(row[i] for row in cm.counts) - tp
-        fn = sum(cm.counts[i]) - tp
-        support = tp + fn
-        precision = _safe_div(tp, tp + fp)
-        recall = _safe_div(tp, tp + fn)
-        f1 = _safe_div(2 * precision * recall, precision + recall)
-        per_class[c] = PerClassMetrics(precision, recall, f1, support)
         tp_total += tp
+        support = sum(cm.counts[i])
         if support > 0:
+            precision = _safe_div(tp, sum(row[i] for row in cm.counts))
+            recall = tp / support
+            f1 = _safe_div(2 * precision * recall, precision + recall)
             macro_terms.append((precision, recall, f1))
     if not macro_terms:
         raise MetricsError("no gold class has support > 0")
@@ -130,8 +116,6 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
         micro_recall=micro,
         macro_f1=macro_f1,
         micro_f1=micro,
-        per_class=per_class,
-        n=n,
     )
 
 

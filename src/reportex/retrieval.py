@@ -42,7 +42,43 @@ class Chunk:
     end: int
 
 
-def split_recursive(text: str, chunk_size: int = 70, overlap: int = 20, report_id: str = "") -> list[Chunk]:
+RETRIEVAL_MODES = ("off", "dense", "hybrid", "sequential")
+
+
+def _check_chunking(chunk_size: int, overlap: int) -> None:
+    if overlap < 0 or chunk_size <= overlap:
+        raise ValueError("require chunk_size > overlap >= 0")
+
+
+@dataclass(frozen=True)
+class RetrievalSettings:
+    """How a config retrieves; the one place that holds and checks the
+    chunking and BM25 values."""
+
+    mode: str = "off"
+    chunk_size: int = 70
+    overlap: int = 20
+    candidates: int = 4
+    shortlist: int = 8
+    rerank_threshold: float = 0.2
+    embed_model: str = "gte-large"
+    bm25_k1: float = 1.2
+    bm25_b: float = 0.75
+
+    def __post_init__(self):
+        if self.mode not in RETRIEVAL_MODES:
+            raise ValueError(f"mode must be one of {RETRIEVAL_MODES}")
+        _check_chunking(self.chunk_size, self.overlap)
+        if self.candidates < 1 or self.shortlist < self.candidates:
+            raise ValueError("require shortlist >= candidates >= 1")
+        if self.bm25_k1 <= 0:
+            raise ValueError("k1 must be positive")
+        if not 0.0 <= self.bm25_b <= 1.0:
+            raise ValueError("b must be in [0, 1]")
+
+
+def split_recursive(text: str, chunk_size: int = RetrievalSettings.chunk_size,
+                    overlap: int = RetrievalSettings.overlap, report_id: str = "") -> list[Chunk]:
     """Split text into chunks of at most chunk_size characters.
 
     Split points prefer ". ", then "; ", then " ", then a hard character cut.
@@ -50,8 +86,7 @@ def split_recursive(text: str, chunk_size: int = 70, overlap: int = 20, report_i
     `overlap` characters into the next chunk. Spans index into the input, and
     every character offset is covered by at least one chunk.
     """
-    if overlap < 0 or chunk_size <= overlap:
-        raise ValueError("require chunk_size > overlap >= 0")
+    _check_chunking(chunk_size, overlap)
     n = len(text)
     if n == 0:
         return []
@@ -82,18 +117,6 @@ def split_recursive(text: str, chunk_size: int = 70, overlap: int = 20, report_i
         p = cut if sentence_cut else max(cut - overlap, p + 1)
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
-
-
 class Bm25Stats:
     """Per-report chunk-set statistics: term document frequencies and lengths,
     keyed by Chunk.index. The indices in one set must be distinct, as
@@ -118,9 +141,9 @@ class Bm25Stats:
 
 
 def bm25_score(query_terms: list[str], chunk_index: int, stats: Bm25Stats,
-               params: Bm25Params = Bm25Params()) -> float:
+               cfg: RetrievalSettings = RetrievalSettings()) -> float:
     """Okapi BM25 score of the chunk with index `chunk_index` against a query
-    term multiset."""
+    term multiset, with cfg's bm25_k1 and bm25_b."""
     tf = stats.tf[chunk_index]
     dl = stats.doc_len[chunk_index]
     score = 0.0
@@ -130,16 +153,16 @@ def bm25_score(query_terms: list[str], chunk_index: int, stats: Bm25Stats,
             continue
         n_t = stats.df[term]
         idf = math.log(1.0 + (stats.n_chunks - n_t + 0.5) / (n_t + 0.5))
-        score += idf * f * (params.k1 + 1.0) / (
-            f + params.k1 * (1.0 - params.b + params.b * dl / stats.avgdl)
+        score += idf * f * (cfg.bm25_k1 + 1.0) / (
+            f + cfg.bm25_k1 * (1.0 - cfg.bm25_b + cfg.bm25_b * dl / stats.avgdl)
         )
     return score
 
 
 def bm25_rank(query_terms: list[str], chunks: list[Chunk], stats: Bm25Stats,
-              params: Bm25Params = Bm25Params()) -> list[tuple[Chunk, float]]:
-    """All chunks ranked by BM25 score descending, ties by chunk index."""
-    scored = [(c, bm25_score(query_terms, c.index, stats, params)) for c in chunks]
+              cfg: RetrievalSettings = RetrievalSettings()) -> list[tuple[Chunk, float]]:
+    """All chunks ranked by bm25_score under cfg, descending, ties by chunk index."""
+    scored = [(c, bm25_score(query_terms, c.index, stats, cfg)) for c in chunks]
     scored.sort(key=lambda cs: (-cs[1], cs[0].index))
     return scored
 
@@ -221,12 +244,12 @@ def hybrid_search(ranking_a: list[tuple[Chunk, float]], ranking_b: list[tuple[Ch
 
 def sequential_search(shortlist: list[tuple[Chunk, float]], stats: Bm25Stats,
                       query_terms: list[str], n: int,
-                      params: Bm25Params = Bm25Params()) -> list[tuple[Chunk, float]]:
-    """The n best of a dense shortlist by BM25 re-scoring, ties broken by
+                      cfg: RetrievalSettings = RetrievalSettings()) -> list[tuple[Chunk, float]]:
+    """The n best of a dense shortlist by bm25_score under cfg, ties broken by
     dense rank. `stats` must cover every shortlisted chunk."""
     if len(shortlist) < n:
         raise ValueError("the shortlist must hold at least n chunks")
-    rescored = [(chunk, bm25_score(query_terms, chunk.index, stats, params), dense_pos)
+    rescored = [(chunk, bm25_score(query_terms, chunk.index, stats, cfg), dense_pos)
                 for dense_pos, (chunk, _) in enumerate(shortlist)]
     rescored.sort(key=lambda t: (-t[1], t[2]))
     return [(chunk, score) for chunk, score, _ in rescored[:n]]
@@ -305,31 +328,6 @@ class TokenOverlapReranker:
         if not q:
             return 0.0
         return len(q & set(tokenize(passage))) / len(q)
-
-
-RETRIEVAL_MODES = ("off", "dense", "hybrid", "sequential")
-
-
-@dataclass(frozen=True)
-class RetrievalSettings:
-    mode: str = "off"
-    chunk_size: int = 70
-    overlap: int = 20
-    candidates: int = 4
-    shortlist: int = 8
-    rerank_threshold: float = 0.2
-    embed_model: str = "gte-large"
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
-
-    def __post_init__(self):
-        if self.mode not in RETRIEVAL_MODES:
-            raise ValueError(f"mode must be one of {RETRIEVAL_MODES}")
-        if self.overlap < 0 or self.chunk_size <= self.overlap:
-            raise ValueError("require chunk_size > overlap >= 0")
-        if self.candidates < 1 or self.shortlist < self.candidates:
-            raise ValueError("require shortlist >= candidates >= 1")
-        Bm25Params(self.bm25_k1, self.bm25_b)
 
 
 @dataclass(frozen=True)
@@ -429,14 +427,14 @@ def select_context(report: Report, schema: LabelSchema, cfg: RetrievalSettings,
         retrieved = ranking[:n]
     else:  # hybrid and sequential also rank lexically
         query_terms = tokenize(query)
-        params = Bm25Params(cfg.bm25_k1, cfg.bm25_b)
-        # Built per call, not memoized: the memo keeps its entries for the whole sweep.
+        # Not memoized here: a sweep memoizes this call's result, so each report
+        # builds these once per RetrievalSettings, and the memo keeps no stats.
         stats = Bm25Stats(chunks)
         if cfg.mode == "hybrid":
-            lexical = bm25_rank(query_terms, chunks, stats, params)[:n]
+            lexical = bm25_rank(query_terms, chunks, stats, cfg)[:n]
             retrieved = hybrid_search(lexical, ranking[:n], n)
         else:  # sequential; shortlist >= candidates, so the prefix holds n chunks
-            retrieved = sequential_search(ranking[:cfg.shortlist], stats, query_terms, n, params)
+            retrieved = sequential_search(ranking[:cfg.shortlist], stats, query_terms, n, cfg)
 
     retrieval_scores = {chunk.index: score for chunk, score in retrieved}
     reranked = rerank(query, [chunk for chunk, _ in retrieved], reranker)

@@ -276,7 +276,8 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
     already sent gets that response, and its record carries that call's
     `latency_ms`. A backend failure, a reranker failure or embeddings unfit
     for the index make the pair a failed one: an error record whose `error`
-    names the exception class.
+    names the exception class. Under `no_timestamps`, `latency_ms` and
+    `timestamp` keep their 0.0 defaults.
     """
     if memo is None:
         memo = SingleFlightMemo()
@@ -296,34 +297,24 @@ def extract_one(report: Report, schema: LabelSchema, config: PipelineConfig,
         # Key on a digest, not the request, so the memo does not keep every prompt alive.
         response = memo.get(("generate", hashlib.blake2b(request.body, digest_size=16).digest()),
                             lambda: backends.generate(request))
-        parsed = parse_label(response.raw_text, schema)
-        return ExtractionRecord(
-            report_id=report.id,
-            config_hash=config.config_hash,
-            raw_output=response.raw_text,
-            parsed=parsed,
-            rag_used=context.rag_used,
-            rerank_score=context.rerank_score,
-            latency_ms=0.0 if no_timestamps else response.latency_ms,
-            timestamp=0.0 if no_timestamps else time.time(),
-        )
     except (LmClientError, RerankError, VectorIndexError) as e:
-        return ExtractionRecord(
-            report_id=report.id,
-            config_hash=config.config_hash,
-            raw_output="",
-            parsed=ParsedLabel.invalid(InvalidReason.EMPTY),
-            rag_used=False,
-            rerank_score=None,
-            latency_ms=0.0,
-            timestamp=0.0 if no_timestamps else time.time(),
-            error=f"{type(e).__name__}: {e}",
-        )
+        stored = dict(raw_output="", parsed=ParsedLabel.invalid(InvalidReason.EMPTY),
+                      rag_used=False, error=f"{type(e).__name__}: {e}")
+        latency_ms = 0.0
+    else:
+        stored = dict(raw_output=response.raw_text, parsed=parse_label(response.raw_text, schema),
+                      rag_used=context.rag_used, rerank_score=context.rerank_score)
+        latency_ms = response.latency_ms
+    if not no_timestamps:  # the fields that differ from one run to the next
+        stored.update(latency_ms=latency_ms, timestamp=time.time())
+    return ExtractionRecord(report.id, config.config_hash, **stored)
 
 
 class ResultStore:
     """Append-only JSONL result store with crash recovery.
 
+    The store keeps one record per (report_id, config_hash) pair, in file
+    order; `records`, `pairs`, `in` and `len` all read that one table.
     A process killed mid-append leaves a torn final line. open() skips it, so
     the pair is recomputed on resume, and append() cuts it off; open() never
     writes. Any other line that is not JSON, or is JSON but not a record, is
@@ -332,8 +323,7 @@ class ResultStore:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.records: list[ExtractionRecord] = []
-        self._pairs: set[tuple[str, str]] = set()
+        self._by_pair: dict[tuple[str, str], ExtractionRecord] = {}
         self._torn = 0  # bytes after the file's last newline, when opened
 
     @classmethod
@@ -355,26 +345,29 @@ class ResultStore:
             except ValueError as e:
                 raise StoreCorruptError(f"{p}: line {lineno}: unreadable record ({e})") from e
             pair = (record.report_id, record.config_hash)
-            if pair in store._pairs:
+            if pair in store:
                 raise StoreCorruptError(f"{p}: line {lineno}: duplicate pair {pair}")
-            store._pairs.add(pair)
-            store.records.append(record)
+            store._by_pair[pair] = record
         return store
 
     @property
+    def records(self) -> list[ExtractionRecord]:
+        return list(self._by_pair.values())
+
+    @property
     def pairs(self) -> set[tuple[str, str]]:
-        return set(self._pairs)
+        return set(self._by_pair)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._pairs
+        return pair in self._by_pair
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._by_pair)
 
     def append(self, record: ExtractionRecord) -> None:
         """Durably append one record; duplicates are an error."""
         pair = (record.report_id, record.config_hash)
-        if pair in self._pairs:
+        if pair in self:
             raise StoreCorruptError(f"duplicate append for pair {pair}")
         line = json.dumps(record.to_dict(), ensure_ascii=False)
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -384,8 +377,7 @@ class ResultStore:
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        self._pairs.add(pair)
-        self.records.append(record)
+        self._by_pair[pair] = record
 
 
 def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: str | None,

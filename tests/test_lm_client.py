@@ -10,7 +10,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
 
 from reportex import lm_client, mock_server
@@ -44,6 +43,7 @@ from reportex.retrieval import (
     MockHashEmbedder,
     VectorIndex,
     VectorIndexError,
+    dense_search,
     split_recursive,
     tokenize,
 )
@@ -215,7 +215,7 @@ class TestEmbedWire:
     def test_identical_texts_identical_vectors(self, oracle_server):
         server, _, _ = oracle_server
         vectors = embed(server.endpoint, "gte-large", ["idh detected", "idh detected"])
-        assert np.array_equal(vectors[0], vectors[1])
+        assert vectors[0] == vectors[1]
         assert len(vectors) == 2 and all(len(row) == 64 for row in vectors)
 
     def test_index_rows_equal_in_process_rows_bit_for_bit(self):
@@ -234,12 +234,14 @@ class TestEmbedWire:
 
     def test_cosine_ordering(self, oracle_server):
         server, _, _ = oracle_server
-        base, close, far = embed(server.endpoint, "gte-large", [
+        base, far, close = embed(server.endpoint, "gte-large", [
             "idh mutation detected",
-            "idh mutation detected positive",
             "the weather is nice",
+            "idh mutation detected positive",
         ])
-        assert np.dot(base, close) > np.dot(base, far)
+        # dense_search ranks by cosine: the raw rows are unscaled
+        ranking = dense_search(VectorIndex(_chunks(2), [far, close]), base, 2)
+        assert [c.index for c, _ in ranking] == [1, 0]
 
     def test_empty_texts_rejected(self, oracle_server):
         server, _, _ = oracle_server
@@ -374,15 +376,14 @@ class TestEmbedConcurrency:
         assert 2 < model.peak <= EMBED_CONCURRENCY
         assert sorted(model.seen) == sorted(a + b)
         expected = MockHashEmbedder(64, 0)
-        np.testing.assert_allclose(rows_a, expected.embed(a, "gte-large"), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rows_b, expected.embed(b, "gte-large"), rtol=0, atol=1e-12)
+        assert rows_a == expected.embed(a, "gte-large")
+        assert rows_b == expected.embed(b, "gte-large")
 
     def test_rows_in_input_order(self):
         texts = _texts(30)
         with MockLmServer(_InFlightModel(seed=5, delay=0.0)) as server:
             rows = embed(server.endpoint, "gte-large", texts)
-        np.testing.assert_allclose(rows, MockHashEmbedder(64, 5).embed(texts, "gte-large"),
-                                   rtol=0, atol=1e-12)
+        assert rows == MockHashEmbedder(64, 5).embed(texts, "gte-large")
 
     def test_first_failure_cancels_queued_requests(self):
         texts = _texts(100)

@@ -11,7 +11,6 @@ import pytest
 from reportex import retrieval
 from reportex.corpus import Task, default_corpus_spec, generate_synthetic_corpus, make_report
 from reportex.retrieval import (
-    Bm25Params,
     Bm25Stats,
     Chunk,
     MockHashEmbedder,
@@ -182,10 +181,10 @@ class TestBm25:
                 assert abs(bm25_score(query, i, stats) - expected[i]) <= 1e-9
 
     def test_params_validated(self):
-        with pytest.raises(ValueError):
-            Bm25Params(k1=0)
-        with pytest.raises(ValueError):
-            Bm25Params(b=1.5)
+        with pytest.raises(ValueError, match="k1 must be positive"):
+            RetrievalSettings(bm25_k1=0)
+        with pytest.raises(ValueError, match=r"b must be in \[0, 1\]"):
+            RetrievalSettings(bm25_b=1.5)
 
 
 def dense_reference_order(vectors, q, n):
