@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -102,9 +103,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
             macro_terms.append((precision, recall, f1))
     if not macro_terms:
         raise MetricsError("no gold class has support > 0")
-    macro_p = sum(t[0] for t in macro_terms) / len(macro_terms)
-    macro_r = sum(t[1] for t in macro_terms) / len(macro_terms)
-    macro_f1 = sum(t[2] for t in macro_terms) / len(macro_terms)
+    macro_p, macro_r, macro_f1 = (sum(col) / len(macro_terms) for col in zip(*macro_terms))
     # Single-label full coverage: every item carries exactly one prediction, so
     # global FP == global FN == n - TP and the micro metrics collapse to accuracy.
     micro = _safe_div(tp_total, n)
@@ -127,35 +126,24 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 _TINY = 1e-300
 
 
+def _nonzero(v: float) -> float:
+    return _TINY if abs(v) < _TINY else v
+
+
 def _betacf(a: float, b: float, x: float, max_iter: int = 400, eps: float = 1e-15) -> float:
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd coefficient of term m, each one Lentz step
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise MetricsError("incomplete beta continued fraction did not converge")
@@ -269,16 +257,15 @@ def paired_t(a, b) -> StatTestResult:
 
 def _average_ranks(x: list[float]) -> list[float]:
     """Ranks 1..n with ties assigned the average rank of their run."""
-    order = sorted(range(len(x)), key=x.__getitem__)
     ranks = [0.0] * len(x)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        for k in order[i : j + 1]:
-            ranks[k] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    order = sorted(range(len(x)), key=x.__getitem__)
+    first = 0  # 0-based position in `order` of the run's first item
+    for _, run in itertools.groupby(order, key=x.__getitem__):
+        run = list(run)
+        last = first + len(run) - 1
+        for k in run:
+            ranks[k] = (first + last) / 2.0 + 1.0
+        first = last + 1
     return ranks
 
 

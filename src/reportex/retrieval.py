@@ -8,6 +8,7 @@ import math
 import operator
 import re
 import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Protocol, Sequence, TypeVar
@@ -124,18 +125,9 @@ class Bm25Stats:
 
     def __init__(self, chunks: list[Chunk]):
         self.n_chunks = len(chunks)
-        self.tf: dict[int, dict[str, int]] = {}
-        self.doc_len: dict[int, int] = {}
-        self.df: dict[str, int] = {}
-        for chunk in chunks:
-            tokens = tokenize(chunk.text)
-            counts: dict[str, int] = {}
-            for t in tokens:
-                counts[t] = counts.get(t, 0) + 1
-            self.tf[chunk.index] = counts
-            self.doc_len[chunk.index] = len(tokens)
-            for t in counts:
-                self.df[t] = self.df.get(t, 0) + 1
+        self.tf = {chunk.index: Counter(tokenize(chunk.text)) for chunk in chunks}
+        self.doc_len = {i: counts.total() for i, counts in self.tf.items()}
+        self.df = Counter(t for counts in self.tf.values() for t in counts)
         total = sum(self.doc_len.values())
         self.avgdl = total / self.n_chunks if self.n_chunks else 0.0
 

@@ -518,18 +518,15 @@ def _compare_axis(axis: str, rows: list[tuple[PipelineConfig, MetricsReport]]) -
     value_off, value_on = ((b, a) if a not in _FALSY_AXIS_VALUES and b in _FALSY_AXIS_VALUES
                            else (a, b))
 
+    accs: dict[tuple[str, object], list[float]] = {}  # per (model, axis value), in row order
+    for model, value, acc in cells:
+        accs.setdefault((model, value), []).append(acc)
     per_model: dict[str, tuple[float, float, float]] = {}
-    on_acc, off_acc = [], []
-    for model in sorted({m for m, _, _ in cells}):
-        accs_on = [acc for m, v, acc in cells if m == model and v == value_on]
-        accs_off = [acc for m, v, acc in cells if m == model and v == value_off]
-        if not accs_on or not accs_off:
-            continue
-        mean_on = sum(accs_on) / len(accs_on)
-        mean_off = sum(accs_off) / len(accs_off)
-        per_model[model] = (mean_on, mean_off, mean_on - mean_off)
-        on_acc.append(mean_on)
-        off_acc.append(mean_off)
+    for model in sorted({m for m, _ in accs}):
+        on, off = accs.get((model, value_on)), accs.get((model, value_off))
+        if on and off:
+            mean_on, mean_off = sum(on) / len(on), sum(off) / len(off)
+            per_model[model] = (mean_on, mean_off, mean_on - mean_off)
 
     deltas = [d for _, _, d in per_model.values()]
     if len(deltas) < 2:
@@ -539,12 +536,12 @@ def _compare_axis(axis: str, rows: list[tuple[PipelineConfig, MetricsReport]]) -
                               outcome, None)
     mean_delta = sum(deltas) / len(deltas)
     sd_delta = math.sqrt(sum((d - mean_delta) ** 2 for d in deltas) / (len(deltas) - 1))
+    ons, offs, _ = zip(*per_model.values())
     try:
-        paired = paired_t(on_acc, off_acc)
+        paired = paired_t(ons, offs)
         outcome = "no_difference" if sd_delta == 0.0 and mean_delta == 0.0 else "tested"
-    except MetricsError:
-        paired = None
-        outcome = "no_difference" if mean_delta == 0.0 else "uniform_delta"
+    except MetricsError:  # paired_t raises only on a constant nonzero delta
+        paired, outcome = None, "uniform_delta"
     return AxisComparison(axis, value_on, value_off, per_model, mean_delta, sd_delta,
                           outcome, paired)
 

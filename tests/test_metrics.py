@@ -19,6 +19,7 @@ from reportex.metrics import (
     t_two_sided_p,
     welch_t,
 )
+from reportex.metrics import _betacf
 from reportex.postprocess import InvalidReason, ParsedLabel
 
 ABC = LabelSchema(Task.RADIOLOGY, ("A", "B", "C"), "C", "score", "kw")
@@ -151,6 +152,38 @@ class TestTDistribution:
 
     def test_tiny_statistic_has_p_one(self):
         assert t_two_sided_p(1e-200, 5.0) == 1.0
+
+    def test_continued_fraction_that_does_not_converge_raises(self):
+        with pytest.raises(MetricsError,
+                           match="^incomplete beta continued fraction did not converge$"):
+            _betacf(100.0, 0.5, 0.9, max_iter=1)
+
+
+class TestReportStatisticsBitPinned:
+    """The exact bits `report` prints. The scipy oracles above allow 1e-9, so a
+    reordered floating-point operation would pass them; it fails here."""
+
+    @pytest.mark.parametrize("t, df, p_hex", [
+        (1e-06, 4.0, "0x1.ffffe6d5433fep-1"),
+        (-0.3, 1.0, "0x1.a0fff67fb6813p-1"),
+        (2.1, 3.0478994016574417, "0x1.0048e6ded79adp-3"),  # welch_t([1, 2, 3], [10, 20, 30, 40]).df
+        (-2.5, 12.5, "0x1.be069e8daf520p-6"),
+        (4.0, 1.5, "0x1.6ff43b562c8efp-4"),
+        (29.5, 3.0, "0x1.66d0b76821957p-14"),
+        (-30.0, 200.0, "0x1.0920023dca3acp-250"),
+    ])
+    def test_t_two_sided_p(self, t, df, p_hex):
+        assert t_two_sided_p(t, df).hex() == p_hex
+
+    @pytest.mark.parametrize("test, a, b, statistic_hex, p_hex", [
+        (spearman, [1, 2, 2, 4, 4, 4, 7], [3, 1, 4, 4, 2, 9, 9],
+         "0x1.2991b094099e7p-1", "0x1.5e87e22d8a2e8p-3"),
+        (paired_t, [0.61, 0.72, 0.55, 0.80, 0.67], [0.58, 0.70, 0.57, 0.71, 0.60],
+         "0x1.f705dd173b8d9p+0", "0x1.ef14813000898p-4"),
+    ], ids=["spearman-ties", "paired_t"])
+    def test_statistic_and_p(self, test, a, b, statistic_hex, p_hex):
+        result = test(a, b)
+        assert (result.statistic.hex(), result.p_value.hex()) == (statistic_hex, p_hex)
 
 
 class TestTTests:

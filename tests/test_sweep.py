@@ -667,6 +667,61 @@ class TestAggregate:
         assert (cmp.mean_delta, cmp.sd_delta) == (0.5, 0.0)
         assert cmp.outcome == "uniform_delta" and cmp.paired is None
 
+    def test_one_model_is_insufficient_for_a_paired_test(self, tmp_path):
+        gold = self._gold(4)
+        configs = [_config(model_name="alpha", top_k=k) for k in (2, 5)]
+        store = _store_with(tmp_path, "one.jsonl", [
+            (configs[0], self._preds(gold, 1)),
+            (configs[1], self._preds(gold, 3)),
+        ], gold)
+        result = aggregate(store, gold, RADIOLOGY_SCHEMA, configs, compare_axes=("top_k",))
+        cmp = result.comparisons[0]
+        assert cmp.per_model == {"alpha": (0.75, 0.25, 0.5)}
+        assert (cmp.mean_delta, cmp.sd_delta) == (0.5, 0.0)
+        assert cmp.outcome == "insufficient_models" and cmp.paired is None
+
+    def test_comparisons_json_of_a_two_model_sweep_pinned(self, tmp_path):
+        """Every float `report --json` prints for a small in-process sweep, exactly:
+        a reordered floating-point operation in the statistics fails here."""
+        reports, annotations = generate_synthetic_corpus(
+            default_corpus_spec(Task.RADIOLOGY, 24, 7))
+        gold = {a.report_id: a.label for a in annotations}
+        backends = model_backends(MockModel(MockMode.NOISY_ORACLE, gold, RADIOLOGY_SCHEMA,
+                                            reports, seed=3, noise_rate=0.4))
+        configs = [_config(model_name=m, param_count_b=p, quant_bits=q, seed=s)
+                   for m, p, q in (("alpha", 8.0, 4), ("beta", 70.0, 8)) for s in (0, 1)]
+        store = run_sweep(reports, configs, None, tmp_path / "pin.jsonl", RADIOLOGY_SCHEMA,
+                          parallelism=2, backends=backends, no_timestamps=True)
+        result = aggregate(store, gold, RADIOLOGY_SCHEMA, configs, compare_axes=("seed",))
+        accuracy_rho = {"test": "spearman", "statistic": -0.23570226039551587, "df": 2.0,
+                        "p_value": 0.7642977396044842, "n": [4, 4]}
+        f1_rho = {"test": "spearman", "statistic": -0.4472135954999579, "df": 2.0,
+                  "p_value": 0.5527864045000423, "n": [4, 4]}
+        expected = {
+            "comparisons": [{
+                "axis": "seed", "value_on": 1, "value_off": 0,
+                "per_model": {
+                    "alpha": {"acc_on": 0.5833333333333334, "acc_off": 0.4583333333333333,
+                              "delta": 0.12500000000000006},
+                    "beta": {"acc_on": 0.5, "acc_off": 0.4583333333333333,
+                             "delta": 0.041666666666666685},
+                },
+                "mean_delta": 0.08333333333333337, "sd_delta": 0.05892556509887899,
+                "outcome": "tested",
+                "paired_t": {"test": "paired_t", "statistic": 2.0, "df": 1.0,
+                             "p_value": 0.29516723530086636, "n": [2, 2]},
+            }],
+            "correlations": {
+                "accuracy_vs_log_param_count": accuracy_rho,
+                "macro_f1_vs_log_param_count": f1_rho,
+                "accuracy_vs_quant_bits": accuracy_rho,
+                "macro_f1_vs_quant_bits": f1_rho,
+            },
+        }
+        # json.dumps, not ==, so that 1 and 1.0 differ as they do in the output
+        assert (json.dumps(result.comparisons_json(), sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
+
     @pytest.mark.parametrize("axis, small, large, fields", [
         ("top_k", 5, 10, lambda v: {"top_k": v}),
         ("temperature", 9.0, 10.0, lambda v: {"temperature": v}),
