@@ -186,15 +186,22 @@ class StatTestResult:
         return {**asdict(self), "n": list(self.n)}
 
 
-def _check_sample(x, min_n: int, name: str) -> list[float]:
-    """The sample as a list of floats: a flat sequence of at least min_n numbers."""
-    try:
-        sample = [float(v) for v in x] if not isinstance(x, (str, bytes)) else []
-    except (TypeError, ValueError):
-        sample = []
-    if len(sample) < min_n:
-        raise MetricsError(f"{name}: need a 1-d sample with n >= {min_n}")
-    return sample
+def _samples(name: str, min_n: int, a, b,
+             paired: bool = False) -> tuple[list[float], list[float]]:
+    """The two samples of statistic `name` as lists of floats: each a flat
+    sequence of at least min_n finite numbers, of equal lengths when paired."""
+    samples = []
+    for x in (a, b):
+        try:
+            sample = [float(v) for v in x] if not isinstance(x, (str, bytes)) else []
+        except (TypeError, ValueError):
+            sample = []
+        if len(sample) < min_n or not all(map(math.isfinite, sample)):
+            raise MetricsError(f"{name}: need a 1-d sample of n >= {min_n} finite numbers")
+        samples.append(sample)
+    if paired and len(samples[0]) != len(samples[1]):
+        raise MetricsError(f"{name}: samples must have equal length")
+    return samples[0], samples[1]
 
 
 def _mean(x: list[float]) -> float:
@@ -209,8 +216,7 @@ def _var(x: list[float]) -> float:
 
 def student_t(a, b) -> StatTestResult:
     """Independent two-sample t-test with pooled variance."""
-    a = _check_sample(a, 2, "student_t")
-    b = _check_sample(b, 2, "student_t")
+    a, b = _samples("student_t", 2, a, b)
     na, nb = len(a), len(b)
     va, vb = _var(a), _var(b)
     sp2 = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
@@ -224,8 +230,7 @@ def student_t(a, b) -> StatTestResult:
 
 def welch_t(a, b) -> StatTestResult:
     """Welch's t-test with Welch-Satterthwaite degrees of freedom."""
-    a = _check_sample(a, 2, "welch_t")
-    b = _check_sample(b, 2, "welch_t")
+    a, b = _samples("welch_t", 2, a, b)
     na, nb = len(a), len(b)
     ua, ub = _var(a) / na, _var(b) / nb
     se2 = ua + ub
@@ -238,10 +243,7 @@ def welch_t(a, b) -> StatTestResult:
 
 def paired_t(a, b) -> StatTestResult:
     """Paired-samples t-test; identical samples yield the null result t=0, p=1."""
-    a = _check_sample(a, 2, "paired_t")
-    b = _check_sample(b, 2, "paired_t")
-    if len(a) != len(b):
-        raise MetricsError("paired_t: samples must have equal length")
+    a, b = _samples("paired_t", 2, a, b, paired=True)
     d = [x - y for x, y in zip(a, b)]
     n = len(d)
     mean = _mean(d)
@@ -271,10 +273,7 @@ def _average_ranks(x: list[float]) -> list[float]:
 
 def spearman(x, y) -> StatTestResult:
     """Spearman rank correlation with average-rank ties and a t-approximation p."""
-    x = _check_sample(x, 3, "spearman")
-    y = _check_sample(y, 3, "spearman")
-    if len(x) != len(y):
-        raise MetricsError("spearman: samples must have equal length")
+    x, y = _samples("spearman", 3, x, y, paired=True)
     if x.count(x[0]) == len(x) or y.count(y[0]) == len(y):
         raise MetricsError("spearman: constant input vector, ranks degenerate")
     rx, ry = _average_ranks(x), _average_ranks(y)
@@ -293,8 +292,7 @@ def spearman(x, y) -> StatTestResult:
 
 def cohens_d(a, b) -> float:
     """Standardized mean difference with (n-1)-weighted pooled standard deviation."""
-    a = _check_sample(a, 2, "cohens_d")
-    b = _check_sample(b, 2, "cohens_d")
+    a, b = _samples("cohens_d", 2, a, b)
     na, nb = len(a), len(b)
     sp2 = ((na - 1) * _var(a) + (nb - 1) * _var(b)) / (na + nb - 2)
     if sp2 == 0.0:

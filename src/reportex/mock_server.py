@@ -184,30 +184,27 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_POST(self):  # noqa: N802 (http.server API)
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):  # the body's end is unknown
+            self._send(400, {"error": f"invalid Content-Length {length!r}"}, close=True)
+            return
         try:
-            length = self.headers.get("Content-Length", "0")
-            if not (length.isascii() and length.isdigit()):  # the body's end is unknown
-                self._send(400, {"error": f"invalid Content-Length {length!r}"}, close=True)
-                return
-            try:
-                payload = json.loads(self.rfile.read(int(length)))
-            except json.JSONDecodeError:
-                self._send(400, {"error": "invalid JSON body"})
-                return
-            model = self.server.model  # type: ignore[attr-defined]
-            answer = {"/api/generate": model.complete,
-                      "/api/embeddings": model.embeddings}.get(self.path)
-            if answer is None:
-                self._send(404, {"error": f"unknown path {self.path}"})
-                return
-            try:
-                reply = answer(payload)
-            except Exception as e:  # a failing model is the server's error, as on a real server
-                self._send(500, {"error": f"{type(e).__name__}: {e}"})
-                return
-            self._send(200, reply)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client vanished mid-request (e.g. killed sweep process)
+            payload = json.loads(self.rfile.read(int(length)))
+        except json.JSONDecodeError:
+            self._send(400, {"error": "invalid JSON body"})
+            return
+        model = self.server.model  # type: ignore[attr-defined]
+        answer = {"/api/generate": model.complete,
+                  "/api/embeddings": model.embeddings}.get(self.path)
+        if answer is None:
+            self._send(404, {"error": f"unknown path {self.path}"})
+            return
+        try:
+            reply = answer(payload)
+        except Exception as e:  # a failing model is the server's error, as on a real server
+            self._send(500, {"error": f"{type(e).__name__}: {e}"})
+            return
+        self._send(200, reply)
 
     def _send(self, status: int, obj: dict, close: bool = False) -> None:
         body = json.dumps(obj).encode("utf-8")
@@ -246,7 +243,8 @@ class _Server(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def handle_error(self, request, client_address):
-        # A client that drops its kept connection between requests is no error.
+        # A client that drops its connection, between requests or in the middle of
+        # one (a killed sweep process), is no error.
         if not isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
             super().handle_error(request, client_address)
 

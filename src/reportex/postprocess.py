@@ -92,16 +92,6 @@ def _first_object(cleaned: str) -> tuple[dict, int, int] | None:
     return None
 
 
-def extract_json_payload(cleaned: str) -> str | None:
-    """Return the first {...} substring that parses as a JSON object.
-
-    Surrounding prose is ignored; with multiple objects the first parseable one
-    wins. Returns None when no parseable object exists.
-    """
-    found = _first_object(cleaned)
-    return None if found is None else cleaned[found[1] : found[2]]
-
-
 @lru_cache(maxsize=None)
 def _alias_table(task: Task) -> dict[str, str]:
     data = json.loads(

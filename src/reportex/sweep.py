@@ -562,18 +562,10 @@ def aggregate(store: ResultStore, gold: dict[str, str], schema: LabelSchema,
     of them. Raises MissingRecordsError when the store lacks any such pair, or
     holds no record for any of the configs.
     """
-    by_config: dict[str, dict[str, ExtractionRecord]] = {}
-    for record in store.records:
-        by_config.setdefault(record.config_hash, {})[record.report_id] = record
-
+    table = store._by_pair
     config_by_hash = {c.config_hash: c for c in configs}
-    report_ids = sorted({rid for h in config_by_hash for rid in by_config.get(h, {})})
-    missing = [
-        (rid, h)
-        for h in config_by_hash
-        for rid in report_ids
-        if rid not in by_config.get(h, {})
-    ]
+    report_ids = sorted({rid for rid, h in table if h in config_by_hash})
+    missing = [(rid, h) for h in config_by_hash for rid in report_ids if (rid, h) not in table]
     if missing or not report_ids:
         raise MissingRecordsError(missing)
     absent_gold = [rid for rid in report_ids if rid not in gold]
@@ -582,8 +574,7 @@ def aggregate(store: ResultStore, gold: dict[str, str], schema: LabelSchema,
 
     rows: list[tuple[PipelineConfig, MetricsReport]] = []
     for h, config in config_by_hash.items():
-        records = by_config[h]
-        preds = [records[rid].parsed for rid in report_ids]
+        preds = [table[rid, h].parsed for rid in report_ids]
         golds = [gold[rid] for rid in report_ids]
         rows.append((config, compute_metrics(confusion(preds, golds, schema))))
     rows.sort(key=lambda cr: (-cr[1].accuracy, -cr[1].macro_f1, cr[0].config_hash))

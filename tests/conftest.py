@@ -24,6 +24,10 @@ _HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="hypothesis-")
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
 
 
+def pytest_unconfigure(config):
+    _HYPOTHESIS_STORAGE.cleanup()  # not left to the interpreter's exit, which warns
+
+
 @pytest.fixture(scope="session")
 def radiology_schema():
     return RADIOLOGY_SCHEMA

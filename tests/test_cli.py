@@ -1,9 +1,7 @@
 import csv
 import io
 import json
-import threading
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -26,6 +24,7 @@ from reportex.prompting import FewShot, PromptStrategy
 from reportex.retrieval import RetrievalSettings
 from reportex.postprocess import ParsedLabel
 from reportex.sweep import ExtractionRecord, PipelineConfig, SweepGrid, enumerate_configs
+from wire_doubles import CannedServer
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +60,6 @@ def corpus_files(tmp_path_factory):
     server.stop()
 
 
-class _MultiLineErrorHandler(BaseHTTPRequestHandler):
-    """Answers every request with status 500 and a body of three lines."""
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        body = b"<html>\nInternal Server Error\n</html>"
-        self.send_response(500)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
 class _ZeroVectorModel(MockModel):
     """Mock whose every embedding is an all-zero row."""
 
@@ -101,6 +85,12 @@ def _few_shot_files(root):
 def _endpoint_args(command, corpus_files):
     """`sweep` talks to the live server; `report` takes no endpoint."""
     return ["--endpoint", corpus_files["endpoint"]] if command == "sweep" else []
+
+
+def _grid_obj(corpus_files):
+    """The grid file's object, read afresh for a test to change."""
+    with open(corpus_files["grid"]) as fh:
+        return json.load(fh)
 
 
 class TestGenerateCorpus:
@@ -336,16 +326,9 @@ class TestExtract:
 
     def test_server_error_body_on_one_line_exit_3(self, corpus_files, capsys):
         path, _ = self._report_file(corpus_files, "2")
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _MultiLineErrorHandler)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        try:
-            host, port = httpd.server_address[:2]
+        with CannedServer(500, b"<html>\nInternal Server Error\n</html>") as httpd:
             assert main(["extract", str(path), "--config", corpus_files["config"],
-                         "--schema", corpus_files["schema"],
-                         "--endpoint", f"http://{host}:{port}"]) == 3
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
+                         "--schema", corpus_files["schema"], "--endpoint", httpd.endpoint]) == 3
         assert capsys.readouterr().err == (
             "error: ProtocolError: server returned status 500: "
             "<html> Internal Server Error </html>\n")
@@ -470,7 +453,7 @@ class TestSweepAndReport:
 
     def test_sweep_over_two_embed_models(self, corpus_files, tmp_path, capsys):
         grid = tmp_path / "embed_grid.json"
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["base"]["retrieval"]["mode"] = "dense"
         grid_obj["axes"] = {"retrieval.embed_model": ["gte-large", "nomic-embed-text"]}
         grid.write_text(json.dumps(grid_obj))
@@ -487,7 +470,7 @@ class TestSweepAndReport:
 
     def test_report_table_has_every_config_field(self, corpus_files, tmp_path, capsys):
         grid = tmp_path / "embed_grid.json"
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["base"]["retrieval"]["mode"] = "dense"
         grid_obj["axes"] = {"retrieval.embed_model": ["gte-large", "nomic-embed-text"]}
         grid.write_text(json.dumps(grid_obj))
@@ -521,7 +504,7 @@ class TestSweepAndReport:
     def test_grid_with_an_unknown_key_exit_2(self, corpus_files, tmp_path, capsys, command,
                                              extra, message):
         grid = tmp_path / "typo_grid.json"
-        grid.write_text(json.dumps({**json.loads(open(corpus_files["grid"]).read()), **extra}))
+        grid.write_text(json.dumps({**_grid_obj(corpus_files), **extra}))
         store = tmp_path / "typo.jsonl"
         assert main([command, "--grid", str(grid), "--corpus", corpus_files["corpus"],
                      "--schema", corpus_files["schema"], "--store", str(store),
@@ -531,7 +514,7 @@ class TestSweepAndReport:
 
     def test_grid_with_a_comment_runs(self, corpus_files, tmp_path, capsys):
         grid = tmp_path / "comment_grid.json"
-        grid.write_text(json.dumps({**json.loads(open(corpus_files["grid"]).read()),
+        grid.write_text(json.dumps({**_grid_obj(corpus_files),
                                     "comment": "top_k at 2 and 40"}))
         store = tmp_path / "comment.jsonl"
         assert main(["sweep", "--grid", str(grid), "--corpus", corpus_files["corpus"],
@@ -590,7 +573,7 @@ class TestSweepAndReport:
             "json_instruction", "prompt-typo", "style", "candidates", "chunk_size", "typo"])
     def test_config_field_of_wrong_type_exit_2(self, corpus_files, tmp_path, capsys, part,
                                                message):
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         base = grid_obj["base"]
         for key, value in part.items():
             base[key] = {**base[key], **value} if isinstance(value, dict) else value
@@ -604,7 +587,7 @@ class TestSweepAndReport:
         assert not store.exists()
 
     def test_axis_value_of_wrong_type_exit_2(self, corpus_files, tmp_path, capsys):
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["axes"] = {"retrieval.chunk_size": [70, 70.5]}
         grid = tmp_path / "axis_grid.json"
         grid.write_text(json.dumps(grid_obj))
@@ -648,7 +631,7 @@ class TestSweepAndReport:
         store = tmp_path / "partial.jsonl"
         # run only half the grid by sweeping with a single-config grid
         single = tmp_path / "single_grid.json"
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["axes"] = {}
         single.write_text(json.dumps(grid_obj))
         assert main(["sweep", "--grid", str(single), "--corpus", corpus_files["corpus"],
@@ -671,7 +654,7 @@ class TestSweepAndReport:
 
     def test_compare_axis_with_three_values_exit_2(self, corpus_files, tmp_path, capsys):
         grid = tmp_path / "three_grid.json"
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["axes"] = {"top_k": [2, 5, 40]}
         grid.write_text(json.dumps(grid_obj))
         store = tmp_path / "three.jsonl"
@@ -687,7 +670,7 @@ class TestSweepAndReport:
 
     def test_compare_axis_whose_values_are_objects_exit_2(self, corpus_files, tmp_path, capsys):
         grid = tmp_path / "object_grid.json"
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["axes"] = {"prompt": [{"style": "simple"}, {"style": "complex"}],
                             "model_name": ["m1", "m2"]}
         grid_obj["sample"]["n"] = 6
@@ -734,7 +717,7 @@ class TestSweepAndReport:
 
     def test_report_top_limits_the_printed_rows(self, corpus_files, tmp_path, capsys):
         grid = tmp_path / "four.json"
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["axes"] = {"top_k": [2, 10, 20, 40]}
         grid_obj["sample"] = {"n": 3, "seed": 5}
         grid.write_text(json.dumps(grid_obj))
@@ -758,7 +741,7 @@ class TestSweepAndReport:
         # stream); the plain-text table must come out sorted by accuracy
         reports, gold = corpus_files["reports"], corpus_files["gold"]
         grid = tmp_path / "model_grid.json"
-        grid_obj = json.loads(open(corpus_files["grid"]).read())
+        grid_obj = _grid_obj(corpus_files)
         grid_obj["axes"] = {"model_name": ["m-a", "m-b", "m-c"]}
         grid.write_text(json.dumps(grid_obj))
         store = tmp_path / "sorted.jsonl"
@@ -853,7 +836,8 @@ class TestMalformedInputFiles:
     ], ids=["list", "text", "id", "label", "surrogate"])
     def test_corpus_line_of_wrong_shape_exit_2(self, corpus_files, tmp_path, capsys, command,
                                                bad_line, message):
-        first = open(corpus_files["corpus"]).readline()
+        with open(corpus_files["corpus"]) as fh:
+            first = fh.readline()
         corpus = tmp_path / "bad_corpus.jsonl"
         corpus.write_text(first + json.dumps(bad_line) + "\n")
         assert self._run(corpus_files, tmp_path, command, corpus=str(corpus)) == 2

@@ -3,12 +3,12 @@ import json
 import math
 import select
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -48,6 +48,11 @@ from reportex.retrieval import (
     tokenize,
 )
 from reportex.sweep import PipelineConfig, record_seed, run_sweep
+from wire_doubles import CannedServer
+
+# Replies for a CannedServer: an answer to every generate, and a proxy's own answer.
+_SCORE_2 = json.dumps({"model": "m", "response": '{"score": "2"}'}).encode()
+_VIA_PROXY = json.dumps({"model": "m", "response": "via proxy"}).encode()
 
 
 @pytest.fixture(scope="module")
@@ -131,19 +136,6 @@ class TestGenerateWire:
             resolve_endpoint(None)
 
 
-class _NotJsonHandler(BaseHTTPRequestHandler):
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        body = b"<html>not json</html>"
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
 class _FailingModel(MockModel):
     """Mock whose embeddings raise: a model call that fails inside the server."""
 
@@ -182,17 +174,10 @@ class TestErrorMapping:
         assert info.value.status == 404
 
     def test_non_json_2xx_body_is_protocol_error(self):
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _NotJsonHandler)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = httpd.server_address[:2]
+        with CannedServer(200, b"<html>not json</html>") as httpd:
             with pytest.raises(ProtocolError) as info:
-                generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
+                generate(httpd.endpoint, GenerationRequest("m", "p"))
             assert info.value.status == 200
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
 
     def test_silent_server_is_request_timeout(self, monkeypatch):
         monkeypatch.setattr(lm_client, "DEFAULT_TIMEOUT", 0.05)
@@ -414,91 +399,22 @@ class _CountingHandler(mock_server._Handler):
         super().setup()
 
 
-class _CloseAfterReplyHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 server that closes each connection after one reply without
-    sending Connection: close, so the client finds out only on its next request."""
-
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        body = json.dumps({"model": "m", "response": "ok"}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self.close_connection = True
-
-    def log_message(self, *args):
-        pass
-
-
-class _ProxyHandler(BaseHTTPRequestHandler):
-    """Forward proxy stand-in: records each request target and answers itself."""
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        self.server.targets.append(self.path)
-        body = json.dumps({"model": "m", "response": "via proxy"}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-def _serving(handler):
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
-                     daemon=True).start()
-    return httpd
-
-
-class _RecordingHandler(BaseHTTPRequestHandler):
-    """Records each raw request body and answers every generate alike."""
-
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self.server.bodies.append(self.rfile.read(int(self.headers["Content-Length"])))
-        body = json.dumps({"model": "m", "response": '{"score": "2"}'}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
 class TestRequestBody:
     def test_generate_posts_the_request_body(self):
-        httpd = _serving(_RecordingHandler)
-        httpd.bodies = []
         request = GenerationRequest("m", "caf\u00e9 \u2028", json_mode=True, seed=7)
-        try:
-            generate("http://%s:%d" % httpd.server_address[:2], request)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
+        with CannedServer(200, _SCORE_2) as httpd:
+            generate(httpd.endpoint, request)
         assert httpd.bodies == [request.body]
         assert json.loads(request.body) == request.to_payload()
 
     def test_configs_with_equal_request_bodies_send_one_request(self, corpus, tmp_path):
         reports, _ = corpus
-        httpd = _serving(_RecordingHandler)
-        httpd.bodies = []
         # quant_bits is not part of the request: both configs send the same bytes
         configs = [PipelineConfig(model_name="m", quant_bits=4),
                    PipelineConfig(model_name="m", quant_bits=8)]
-        try:
-            store = run_sweep(reports[:1], configs, "http://%s:%d" % httpd.server_address[:2],
-                              tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, no_timestamps=True)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
+        with CannedServer(200, _SCORE_2) as httpd:
+            store = run_sweep(reports[:1], configs, httpd.endpoint, tmp_path / "s.jsonl",
+                              RADIOLOGY_SCHEMA, no_timestamps=True)
         assert len(store) == 2 and {r.error for r in store.records} == {None}
         assert len(httpd.bodies) == 1
         assert json.loads(httpd.bodies[0])["options"]["seed"] == record_seed(0, reports[0].id)
@@ -520,15 +436,11 @@ class TestConnections:
 
     def test_connection_closed_while_idle_is_reopened_not_retried(self, monkeypatch):
         monkeypatch.setattr(lm_client, "DEFAULT_RETRIES", 0)
-        httpd = _serving(_CloseAfterReplyHandler)
-        try:
-            host, port = httpd.server_address[:2]
+        reply = json.dumps({"model": "m", "response": "ok"}).encode()
+        with CannedServer(200, reply, close_after_reply=True) as httpd:
             for _ in range(3):
-                resp = generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
+                resp = generate(httpd.endpoint, GenerationRequest("m", "p"))
                 assert resp.raw_text == "ok"
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
 
     def test_reset_on_a_fresh_connection_is_raised_not_sent_again(self, monkeypatch):
         # only a kept connection gets the silent resend of _post
@@ -578,21 +490,15 @@ class TestConnections:
     def test_proxy_from_environment(self, monkeypatch):
         for var in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
             monkeypatch.delenv(var, raising=False)
-        proxy = _serving(_ProxyHandler)
-        proxy.targets = []
         endpoint = "http://model.invalid:11434"  # only the proxy can answer it
-        try:
-            host, port = proxy.server_address[:2]
-            monkeypatch.setenv("http_proxy", f"http://{host}:{port}")
+        with CannedServer(200, _VIA_PROXY) as proxy:
+            monkeypatch.setenv("http_proxy", proxy.endpoint)
             resp = generate(endpoint, GenerationRequest("m", "p"))
             assert resp.raw_text == "via proxy"
             assert proxy.targets == [endpoint + "/api/generate"]  # absolute form
             monkeypatch.setenv("no_proxy", "model.invalid")
             conn, target = lm_client._connection(endpoint + "/api/generate")  # connects lazily
             assert (conn.host, conn.port, target) == ("model.invalid", 11434, "/api/generate")
-        finally:
-            proxy.shutdown()
-            proxy.server_close()
 
     def test_https_endpoint_is_tunnelled_through_the_proxy(self, monkeypatch):
         for var in ("https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
@@ -609,17 +515,12 @@ class TestConnections:
         server, reports, gold = oracle_server
         for var in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
             monkeypatch.delenv(var, raising=False)
-        proxy = _serving(_ProxyHandler)
-        proxy.targets = []
-        try:
-            monkeypatch.setenv("http_proxy", "http://%s:%d" % proxy.server_address[:2])
+        with CannedServer(200, _VIA_PROXY) as proxy:
+            monkeypatch.setenv("http_proxy", proxy.endpoint)
             endpoint = server.endpoint.replace("127.0.0.1", host)
             resp = generate(endpoint, GenerationRequest("m", reports[0].text))
             assert json.loads(resp.raw_text) == {"score": gold[reports[0].id]}
             assert proxy.targets == []
-        finally:
-            proxy.shutdown()
-            proxy.server_close()
 
     def test_loopback_request_does_not_read_the_proxy_environment(self, oracle_server,
                                                                   monkeypatch):
@@ -690,6 +591,23 @@ class TestMockServerErrors:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"\r\nConnection: close" in head
         assert json.loads(body) == {"error": f"invalid Content-Length {length!r}"}
+        assert capsys.readouterr().err == ""
+
+    def test_client_reset_mid_body_prints_nothing(self, capsys):
+        with MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)) as server:
+            open_now = server._httpd._open
+            with socket.create_connection(server._httpd.server_address[:2], timeout=2) as sock:
+                sock.sendall(b"POST /api/generate HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 100\r\n\r\n{\"model\": ")
+                deadline = time.monotonic() + 5
+                while not open_now and time.monotonic() < deadline:  # until accepted
+                    time.sleep(0.01)
+                time.sleep(0.05)  # for the handler to wait on the rest of the body
+                # linger on, with a zero timeout: close() sends a reset
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            while open_now and time.monotonic() < deadline:  # until the handler ends
+                time.sleep(0.01)
+            assert not open_now
         assert capsys.readouterr().err == ""
 
 

@@ -268,6 +268,15 @@ class TestSampleChecks:
         with pytest.raises(MetricsError, match="need a 1-d sample"):
             paired_t([1.0, value, 3.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("test", [student_t, welch_t, paired_t, spearman, cohens_d],
+                             ids=lambda test: test.__name__)
+    def test_non_finite_rejected(self, test, bad):
+        # before: spearman gave rho 1.0, the t-tests a failed continued fraction,
+        # cohens_d nan
+        with pytest.raises(MetricsError, match=f"^{test.__name__}: need a 1-d sample .* finite"):
+            test([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 5.0])
+
 
 class TestSpearman:
     def test_monotone(self):

@@ -12,11 +12,11 @@ from reportex.postprocess import (
     ParsedLabel,
     canonicalize_value,
     clean_artifacts,
-    extract_json_payload,
     load_noise_wrappers,
     parse_label,
     render_wrapped,
 )
+from reportex.postprocess import _first_object
 
 
 class TestCleanArtifacts:
@@ -42,23 +42,25 @@ class TestCleanArtifacts:
 
 
 class TestExtractJsonPayload:
+    """The JSON payload that _first_object finds, and its [start, end) span."""
+
     def test_surrounding_prose(self):
-        assert extract_json_payload('Sure! {"score": "4"} Hope that helps.') == '{"score": "4"}'
+        assert _first_object('Sure! {"score": "4"} Hope that helps.') == ({"score": "4"}, 6, 20)
 
     def test_no_braces(self):
-        assert extract_json_payload("no braces here") is None
+        assert _first_object("no braces here") is None
 
     def test_first_valid_object_wins(self):
-        assert extract_json_payload('{"a":1} {"score":"2"}') == '{"a":1}'
+        assert _first_object('{"a":1} {"score":"2"}') == ({"a": 1}, 0, 7)
 
     def test_skips_unparseable_prefix_object(self):
-        assert extract_json_payload('{oops} {"score": "2"}') == '{"score": "2"}'
+        assert _first_object('{oops} {"score": "2"}') == ({"score": "2"}, 7, 21)
 
     def test_nested_object(self):
-        assert extract_json_payload('x {"a": {"b": 1}} y') == '{"a": {"b": 1}}'
+        assert _first_object('x {"a": {"b": 1}} y') == ({"a": {"b": 1}}, 2, 17)
 
     def test_braces_inside_strings_ignored(self):
-        assert extract_json_payload('{"a": "}{"}') == '{"a": "}{"}'
+        assert _first_object('{"a": "}{"}') == ({"a": "}{"}, 0, 11)
 
 
 class TestParseLabel:
@@ -206,7 +208,7 @@ class TestDecoderTotality:
     def test_no_closing_brace_returns_at_once(self, raw):
         # Each failed decode from every "{" took 0.7-1.2 s in all on these inputs.
         start = time.perf_counter()
-        assert extract_json_payload(raw) is None
+        assert _first_object(raw) is None
         assert time.perf_counter() - start < 0.25
 
     @given(st.text(alphabet=_JSON_SYNTAX, max_size=300))
@@ -215,5 +217,6 @@ class TestDecoderTotality:
         from reportex.corpus import RADIOLOGY_SCHEMA
         parsed = parse_label(s, RADIOLOGY_SCHEMA)
         assert parsed.is_valid or parsed.reason is not None
-        payload = extract_json_payload(clean_artifacts(s))
-        assert payload is None or isinstance(json.loads(payload), dict)
+        cleaned = clean_artifacts(s)
+        found = _first_object(cleaned)
+        assert found is None or isinstance(json.loads(cleaned[found[1] : found[2]]), dict)

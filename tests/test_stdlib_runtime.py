@@ -134,6 +134,7 @@ def test_rag_sweep_and_report_over_http_without_numpy(tmp_path, package_env):
     finally:
         server.stdin.close()
         server_code = server.wait(timeout=30)
+        server.stdout.close()
     assert client.returncode == 0, client.stderr
     assert server_code == 0
     records = ResultStore.open(store).records

@@ -52,6 +52,7 @@ from reportex.sweep import (
     run_sweep,
     sample_reports,
 )
+from wire_doubles import RecordingModel
 
 
 def model_backends(mock_model, seed=0):
@@ -945,18 +946,12 @@ class TestSweepMemo:
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
 
-        sent = []
-
-        class CountingModel(MockModel):
-            def embeddings(self, payload):
-                sent.append(payload["prompt"])
-                return super().embeddings(payload)
-
-        model = CountingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        model = RecordingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
         with MockLmServer(model) as server:
             store = run_sweep(reports[:2], _mode_configs(), server.endpoint,
                               tmp_path / "wire.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
                               no_timestamps=True)
+        sent = [payload["prompt"] for payload in model.payloads("/api/embeddings")]
         query = RADIOLOGY_SCHEMA.retrieval_keywords
         expected = [query] + _chunk_texts(reports[0]) + [query] + _chunk_texts(reports[1])
         assert len(sent) == len(expected)
@@ -967,20 +962,15 @@ class TestSweepMemo:
     def test_wire_sweep_names_each_configs_embed_model(self, tmp_path, radiology_corpus):
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
-        sent = []
-
-        class ModelNamingModel(MockModel):
-            def embeddings(self, payload):
-                sent.append((payload["model"], payload["prompt"]))
-                return super().embeddings(payload)
-
         models = ("gte-large", "nomic-embed-text")
         configs = [_config(retrieval=RetrievalSettings(mode="dense", embed_model=model))
                    for model in models]
-        with MockLmServer(ModelNamingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA,
-                                           reports)) as server:
+        mock = RecordingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        with MockLmServer(mock) as server:
             store = run_sweep(reports[:1], configs, server.endpoint, tmp_path / "wire.jsonl",
                               RADIOLOGY_SCHEMA, parallelism=2, no_timestamps=True)
+        sent = [(payload["model"], payload["prompt"])
+                for payload in mock.payloads("/api/embeddings")]
         texts = [RADIOLOGY_SCHEMA.retrieval_keywords] + _chunk_texts(reports[0])
         assert sorted(sent) == sorted((model, text) for model in models for text in texts)
         assert len(store) == 2
@@ -992,26 +982,14 @@ class TestSweepMemo:
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
         query = RADIOLOGY_SCHEMA.retrieval_keywords
-        arrivals = []
-        lock = threading.Lock()
-
-        class OrderModel(MockModel):
-            def embeddings(self, payload):
-                with lock:
-                    arrivals.append(("embed", payload["prompt"]))
-                time.sleep(0.005)
-                return super().embeddings(payload)
-
-            def complete(self, payload):
-                with lock:
-                    arrivals.append(("generate", payload["prompt"]))
-                return super().complete(payload)
-
-        model = OrderModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        model = RecordingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports,
+                               embed_delay=0.005)
         with MockLmServer(model) as server:
             store = run_sweep(reports[:2], _mode_configs(("dense",)), server.endpoint,
                               tmp_path / "wire.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
                               no_timestamps=True)
+        kinds = {"/api/embeddings": "embed", "/api/generate": "generate"}
+        arrivals = [(kinds[route], payload["prompt"]) for route, payload in model.log]
         # ~50 chunks per report: the report whose embeddings finish first sends
         # its generate while the other report's chunks are still arriving.
         first_generate = [kind for kind, _ in arrivals].index("generate")
@@ -1103,18 +1081,12 @@ class TestSharedGeneration:
                                                                 radiology_corpus):
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
-        sent = []
-
-        class CountingModel(MockModel):
-            def complete(self, payload):
-                sent.append(payload["options"]["seed"])
-                return super().complete(payload)
-
-        model = CountingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
+        model = RecordingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
         with MockLmServer(model) as server:
             store = run_sweep(reports[:2], _mode_configs(), server.endpoint,
                               tmp_path / "wire.jsonl", RADIOLOGY_SCHEMA, parallelism=3,
                               no_timestamps=True)
+        sent = [payload["options"]["seed"] for payload in model.payloads("/api/generate")]
         assert sorted(sent) == sorted(record_seed(0, r.id) for r in reports[:2])
         assert len(store) == 6
         assert all(r.parsed.label == gold[r.report_id] for r in store.records)
