@@ -1,9 +1,10 @@
 """Command-line entry point: corpus generation, single extraction, sweeps, reports.
 
 Exit codes: 0 success, 2 usage error, a malformed or invalid input file or an
-output path that cannot be written, 3 backend error, 4 incomplete data. An
-invalid extraction is data, not a failure (exit 0); `extract` exits 3 when the
-pair failed, that is when its record carries an error.
+output path that cannot be written (a store that fails partway through a sweep
+included), 3 backend error, 4 incomplete data. An invalid extraction is data,
+not a failure (exit 0); `extract` exits 3 when the pair failed, that is when
+its record carries an error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,8 +49,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _unwritable(path: str, e: OSError) -> int:
-    return _fail(EXIT_CONFIG, f"{path}: cannot write ({e.strerror or e})")
+@contextmanager
+def _writing(path: str):
+    """Reword an OSError from writing the output file `path` to name it."""
+    try:
+        yield
+    except OSError as e:
+        raise OSError(f"{path}: cannot write ({e.strerror or e})") from e
 
 
 # A spec file names the task; each other CorpusSpec field it sets overrides
@@ -67,11 +74,9 @@ def cmd_generate_corpus(args) -> int:
         spec = replace(default_corpus_spec(given["task"], n_reports=1000, seed=0), **given)
         reports, annotations = corpus_mod.generate_synthetic_corpus(spec)
     except (OSError, ValueError) as e:
-        return _fail(EXIT_CONFIG, f"{args.spec}: invalid corpus spec ({e})")
-    try:
+        raise CorpusError(f"{args.spec}: invalid corpus spec ({e})") from e
+    with _writing(args.out):
         corpus_mod.save_corpus(args.out, reports, annotations)
-    except OSError as e:
-        return _unwritable(args.out, e)
     counts = Counter(a.label for a in annotations)
     print(f"wrote {len(reports)} reports to {args.out}")
     for label in sorted(counts):
@@ -105,16 +110,14 @@ def _read_report(path_or_dash: str, schema) -> corpus_mod.Report:
 
 
 def cmd_extract(args) -> int:
+    schema = load_schema(args.schema)
     try:
-        schema = load_schema(args.schema)
         config = PipelineConfig.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        report = _read_report(args.report, schema)
-        endpoint = resolve_endpoint(args.endpoint)
-        check_strategies(schema, [config.prompt])
-    except (OSError, CorpusError, LmClientError, PromptError) as e:
-        return _fail(EXIT_CONFIG, str(e))
     except ValueError as e:  # the config file is not UTF-8, JSON or a pipeline config
-        return _fail(EXIT_CONFIG, f"{args.config}: {e}")
+        raise SweepError(f"{args.config}: {e}") from e
+    report = _read_report(args.report, schema)
+    endpoint = resolve_endpoint(args.endpoint)
+    check_strategies(schema, [config.prompt])
     record = extract_one(report, schema, config, PipelineBackends.remote(endpoint))
     if record.error is not None:  # a server's error body may span lines
         return _fail(EXIT_BACKEND, " ".join(record.error.splitlines()))
@@ -143,17 +146,14 @@ def _load_inputs(args):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        schema, reports, _, grid, configs = _load_inputs(args)
-        if grid.sample_n is not None:
-            seed = args.seed if args.seed is not None else grid.sample_seed
-            reports = sample_reports(reports, grid.sample_n, seed)
-        elif args.seed is not None:
-            raise SweepError(f"{args.grid}: --seed overrides the grid's sample seed, "
-                             "but the grid has no sample")
-        endpoint = resolve_endpoint(args.endpoint)
-    except (OSError, CorpusError, SweepError, LmClientError) as e:
-        return _fail(EXIT_CONFIG, str(e))
+    schema, reports, _, grid, configs = _load_inputs(args)
+    if grid.sample_n is not None:
+        seed = args.seed if args.seed is not None else grid.sample_seed
+        reports = sample_reports(reports, grid.sample_n, seed)
+    elif args.seed is not None:
+        raise SweepError(f"{args.grid}: --seed overrides the grid's sample seed, "
+                         "but the grid has no sample")
+    endpoint = resolve_endpoint(args.endpoint)
     total = len(reports) * len(configs)
     print(f"sweeping {len(configs)} configs over {len(reports)} reports "
           f"({total} pairs) -> {args.store}")
@@ -162,40 +162,30 @@ def cmd_sweep(args) -> int:
         if done % 50 == 0 or done == pending:
             print(f"  {done}/{pending} new records", file=sys.stderr)
 
-    try:
+    # run_sweep refuses a store that cannot take appends before any pair, as a
+    # SweepError; an OSError it raises later is an append that failed partway.
+    with _writing(args.store):
         store = run_sweep(reports, configs, endpoint, args.store, schema,
                           parallelism=args.parallelism, no_timestamps=args.no_timestamps,
                           progress=progress)
-    except (StoreCorruptError, SweepError, PromptError) as e:
-        return _fail(EXIT_CONFIG, str(e))
     print(f"store complete: {len(store)} records")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    try:
-        schema, reports, annotations, grid, configs = _load_inputs(args)
-        store = ResultStore.open(args.store)
-        gold = {a.report_id: a.label for a in annotations}
-    except (OSError, CorpusError, SweepError, StoreCorruptError) as e:
-        return _fail(EXIT_CONFIG, str(e))
-    try:
-        result = sweep_mod.aggregate(store, gold, schema, configs,
-                                     compare_axes=tuple(args.compare or ()))
-    except MissingRecordsError as e:
-        return _fail(EXIT_INCOMPLETE, str(e))
-    except (SweepError, MetricsError) as e:  # MetricsError: a label outside the schema
-        return _fail(EXIT_CONFIG, str(e))
+    schema, reports, annotations, grid, configs = _load_inputs(args)
+    store = ResultStore.open(args.store)
+    gold = {a.report_id: a.label for a in annotations}
+    result = sweep_mod.aggregate(store, gold, schema, configs,
+                                 compare_axes=tuple(args.compare or ()))
 
     comparisons = json.dumps(result.comparisons_json(), indent=2) + "\n"
     for path, text in ((args.csv, result.to_csv()), (args.json, comparisons)):
         if not path:
             print(text, end="")
             continue
-        try:
+        with _writing(path):
             Path(path).write_text(text, encoding="utf-8")
-        except OSError as e:
-            return _unwritable(path, e)
         print(f"wrote {path}")
 
     print(f"\ntop {min(args.top, len(result.rows))} configurations by accuracy, then macro F1:")
@@ -263,7 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The one place that maps a refused input or a failed store to its exit code;
+    # a command that rewords an error raises the reworded one.
+    try:
+        return args.func(args)
+    except MissingRecordsError as e:
+        return _fail(EXIT_INCOMPLETE, str(e))
+    except BrokenPipeError:  # a closed stdout is not an output path: it stays a traceback
+        raise
+    except (OSError, CorpusError, SweepError, StoreCorruptError, PromptError, LmClientError,
+            MetricsError) as e:  # MetricsError: a corpus or store label outside the schema
+        return _fail(EXIT_CONFIG, str(e))
 
 
 def entry() -> None:

@@ -73,6 +73,10 @@ class GoldAnnotation:
     label: str
 
 
+# The pseudo-class invalid predictions are tallied as; no schema label may fold to it.
+INVALID_LABEL = "INVALID"
+
+
 @dataclass(frozen=True)
 class LabelSchema:
     task: Task
@@ -88,6 +92,8 @@ class LabelSchema:
         folded = {l.strip().casefold(): l for l in self.valid_labels}
         if len(folded) != len(self.valid_labels):
             raise CorpusError("valid_labels must be unique after case-folding/trimming")
+        if INVALID_LABEL.casefold() in folded:
+            raise CorpusError(f"valid_labels must not fold to {INVALID_LABEL}, the invalid-output class")
         if self.nr_label not in self.valid_labels:
             raise CorpusError(f"nr_label {self.nr_label!r} not in valid_labels")
         object.__setattr__(self, "_folded", folded)

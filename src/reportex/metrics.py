@@ -4,23 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
-from .corpus import LabelSchema
+from .corpus import INVALID_LABEL, LabelSchema  # INVALID_LABEL is re-exported
 from .postprocess import ParsedLabel
-
-INVALID_LABEL = "INVALID"
-
-# Column order of the benchmark result tables.
-TABLE_COLUMNS = (
-    "accuracy",
-    "macro_precision",
-    "micro_precision",
-    "macro_recall",
-    "micro_recall",
-    "macro_f1",
-    "micro_f1",
-)
 
 
 class MetricsError(ValueError):
@@ -71,7 +58,11 @@ class MetricsReport:
 
     def csv_row(self) -> list[float]:
         """Metric values in the result-table column order."""
-        return [getattr(self, name) for name in TABLE_COLUMNS]
+        return list(astuple(self))
+
+
+# Column order of the benchmark result tables.
+TABLE_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 
 
 def _safe_div(num: float, den: float) -> float:

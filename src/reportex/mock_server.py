@@ -70,7 +70,6 @@ class MockMode(str, Enum):
     ORACLE = "oracle"
     NOISY_ORACLE = "noisy_oracle"
     GARBAGE = "garbage"
-    MALFORMED = "malformed"
     LENGTH_NOISY = "length_noisy"  # error rate grows with prompt length
 
 
@@ -78,17 +77,9 @@ def _h64(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def _load_fixture(name: str, key: str) -> list[str]:
-    data = json.loads(resources.files("reportex.data").joinpath(name).read_text("utf-8"))
-    return data[key]
-
-
 def load_garbage_fixtures() -> list[str]:
-    return _load_fixture("garbage_fixtures.json", "garbage")
-
-
-def load_malformed_templates() -> list[str]:
-    return _load_fixture("malformed_fixtures.json", "templates")
+    path = resources.files("reportex.data").joinpath("garbage_fixtures.json")
+    return json.loads(path.read_text("utf-8"))["garbage"]
 
 
 class MockModel:
@@ -107,7 +98,6 @@ class MockModel:
         self.noise_per_kchar = noise_per_kchar
         self.noise_cap = noise_cap
         self.garbage = load_garbage_fixtures()
-        self.malformed = load_malformed_templates()
         self.embedder = MockHashEmbedder(dimension=64, seed=seed)
         self._report_index: dict[bytes, str | None] = {}
         for r in reports:
@@ -154,10 +144,6 @@ class MockModel:
             if label is None:
                 return self._wire(model, self._garbage_response(prompt))
 
-        if self.mode is MockMode.MALFORMED:
-            template = self.malformed[_h64(prompt) % len(self.malformed)]
-            return self._wire(model, template.format(key=self.schema.answer_key, label=label))
-
         eps = self._error_rate(prompt)
         if eps > 0.0:
             rng = self._rng(model, prompt, options.get("seed"))
@@ -190,7 +176,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(self.rfile.read(int(length)))
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or not UTF-8
+            payload = None
+        if not isinstance(payload, dict):
             self._send(400, {"error": "invalid JSON body"})
             return
         model = self.server.model  # type: ignore[attr-defined]

@@ -1,6 +1,8 @@
 import csv
+import errno
 import io
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -23,7 +25,7 @@ from reportex.mock_server import MockLmServer, MockMode, MockModel
 from reportex.prompting import FewShot, PromptStrategy
 from reportex.retrieval import RetrievalSettings
 from reportex.postprocess import ParsedLabel
-from reportex.sweep import ExtractionRecord, PipelineConfig, SweepGrid, enumerate_configs
+from reportex.sweep import ExtractionRecord, PipelineConfig, ResultStore, SweepGrid, enumerate_configs
 from wire_doubles import CannedServer
 
 
@@ -763,10 +765,10 @@ class TestSweepAndReport:
 class TestOutputPaths:
     """An output path that cannot be written exits 2 with one line naming it."""
 
-    def _sweep(self, corpus_files, store):
+    def _sweep(self, corpus_files, store, endpoint="http://127.0.0.1:9"):
         return main(["sweep", "--grid", corpus_files["grid"], "--corpus", corpus_files["corpus"],
                      "--schema", corpus_files["schema"], "--store", str(store),
-                     "--endpoint", "http://127.0.0.1:9", "--no-timestamps"])
+                     "--endpoint", endpoint, "--no-timestamps"])
 
     @staticmethod
     def _one_error_naming(capsys, path):
@@ -790,6 +792,46 @@ class TestOutputPaths:
         assert self._sweep(corpus_files, tmp_path) == 2
         self._one_error_naming(capsys, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_store_that_stops_taking_appends_midway_exit_2(self, corpus_files, tmp_path, capsys,
+                                                           monkeypatch):
+        def sweep(store):
+            return self._sweep(corpus_files, store, corpus_files["endpoint"])
+
+        uninterrupted, store = tmp_path / "uninterrupted.jsonl", tmp_path / "store.jsonl"
+        assert sweep(uninterrupted) == 0
+        capsys.readouterr()
+        append, calls = ResultStore.append, []
+
+        def disk_full_on_third_append(self, record):
+            calls.append(record)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            append(self, record)
+
+        with monkeypatch.context() as m:
+            m.setattr(ResultStore, "append", disk_full_on_third_append)
+            assert sweep(store) == 2
+        err = self._one_error_naming(capsys, store)
+        assert os.strerror(errno.ENOSPC) in err
+        assert len(store.read_bytes().splitlines()) == 2
+        assert sweep(store) == 0
+        assert store.read_bytes() == uninterrupted.read_bytes()
+
+    def test_report_to_a_closed_stdout_raises_broken_pipe(self, corpus_files, tmp_path,
+                                                          monkeypatch):
+        # `report | head -1`: stdout is no output path, so main does not map it to exit 2
+        store = tmp_path / "store.jsonl"
+        assert self._sweep(corpus_files, store, corpus_files["endpoint"]) == 0
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
+                  "--schema", corpus_files["schema"], "--grid", corpus_files["grid"]])
 
     @pytest.mark.parametrize("option", ["--csv", "--json"])
     def test_report_output_in_missing_directory_exit_2(self, corpus_files, tmp_path, capsys,

@@ -93,6 +93,11 @@ class TestSchema:
         with pytest.raises(CorpusError):
             LabelSchema(Task.RADIOLOGY, ("A", "a"), "A", "score", "kw")
 
+    @pytest.mark.parametrize("label", ["INVALID", "invalid", " Invalid "])
+    def test_label_folding_to_the_invalid_pseudo_class_rejected(self, label):
+        with pytest.raises(CorpusError, match="must not fold to INVALID"):
+            LabelSchema(Task.RADIOLOGY, (label, "2", "NR"), "NR", "score", "kw")
+
     def test_nr_label_outside_labels_rejected(self):
         with pytest.raises(CorpusError, match="nr_label 'none' not in valid_labels"):
             LabelSchema(Task.RADIOLOGY, ("A", "B"), "none", "score", "kw")
