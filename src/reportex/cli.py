@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 2 usage error, a malformed or invalid input file or an
 output path that cannot be written (a store that fails partway through a sweep
-included), 3 backend error, 4 incomplete data. An invalid extraction is data,
-not a failure (exit 0); `extract` exits 3 when the pair failed, that is when
-its record carries an error.
+included), 3 backend error, 4 incomplete data, 141 a closed stdout (quietly, as a
+process that SIGPIPE ended). An invalid extraction is data, not a failure
+(exit 0); `extract` exits 3 when the pair failed, that is when its record
+carries an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -21,7 +23,7 @@ from . import corpus as corpus_mod
 from . import sweep as sweep_mod
 from .corpus import CorpusError, CorpusSpec, default_corpus_spec, load_corpus, load_schema, make_report
 from .inputs import check_object, dataclass_fields
-from .lm_client import LmClientError, resolve_endpoint
+from .lm_client import LmClientError
 from .metrics import INVALID_LABEL, MetricsError
 from .prompting import PromptError, check_strategies
 from .sweep import (
@@ -116,9 +118,9 @@ def cmd_extract(args) -> int:
     except ValueError as e:  # the config file is not UTF-8, JSON or a pipeline config
         raise SweepError(f"{args.config}: {e}") from e
     report = _read_report(args.report, schema)
-    endpoint = resolve_endpoint(args.endpoint)
+    backends = PipelineBackends.remote(args.endpoint)
     check_strategies(schema, [config.prompt])
-    record = extract_one(report, schema, config, PipelineBackends.remote(endpoint))
+    record = extract_one(report, schema, config, backends)
     if record.error is not None:  # a server's error body may span lines
         return _fail(EXIT_BACKEND, " ".join(record.error.splitlines()))
     out = {
@@ -153,7 +155,7 @@ def cmd_sweep(args) -> int:
     elif args.seed is not None:
         raise SweepError(f"{args.grid}: --seed overrides the grid's sample seed, "
                          "but the grid has no sample")
-    endpoint = resolve_endpoint(args.endpoint)
+    backends = PipelineBackends.remote(args.endpoint)
     total = len(reports) * len(configs)
     print(f"sweeping {len(configs)} configs over {len(reports)} reports "
           f"({total} pairs) -> {args.store}")
@@ -165,9 +167,9 @@ def cmd_sweep(args) -> int:
     # run_sweep refuses a store that cannot take appends before any pair, as a
     # SweepError; an OSError it raises later is an append that failed partway.
     with _writing(args.store):
-        store = run_sweep(reports, configs, endpoint, args.store, schema,
-                          parallelism=args.parallelism, no_timestamps=args.no_timestamps,
-                          progress=progress)
+        store = run_sweep(reports, configs, None, args.store, schema,
+                          parallelism=args.parallelism, backends=backends,
+                          no_timestamps=args.no_timestamps, progress=progress)
     print(f"store complete: {len(store)} records")
     return EXIT_OK
 
@@ -259,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MissingRecordsError as e:
         return _fail(EXIT_INCOMPLETE, str(e))
-    except BrokenPipeError:  # a closed stdout is not an output path: it stays a traceback
+    except BrokenPipeError:  # a closed stdout is not an output path: entry() ends on it
         raise
     except (OSError, CorpusError, SweepError, StoreCorruptError, PromptError, LmClientError,
             MetricsError) as e:  # MetricsError: a corpus or store label outside the schema
@@ -267,8 +269,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # buffered output to a closed pipe fails only here
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit, and would print a second
+        # BrokenPipeError; see the note on SIGPIPE in the signal module's docs.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)  # 128 + SIGPIPE, as a shell reports a process that signal ended
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -43,6 +43,7 @@ from __future__ import annotations
 import http.client
 import ipaddress
 import json
+import math
 import os
 import threading
 import time
@@ -92,6 +93,8 @@ class ProtocolError(LmClientError):
 
 def check_sampling(temperature: float, top_k: int, top_p: float) -> None:
     """ValueError unless the sampling options are ones a server accepts."""
+    if not math.isfinite(temperature):  # NaN or infinity is not JSON
+        raise ValueError(f"temperature must be a finite number, not {temperature!r}")
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
     if top_k < 1:

@@ -163,7 +163,7 @@ class MockModel:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    model: MockModel  # set on the server class
+    server: MockLmServer
     protocol_version = "HTTP/1.1"  # connections stay open between requests
     # The headers and the body are two writes; with Nagle on, the body waits
     # for the client's delayed ACK of the headers, about 40 ms per request.
@@ -181,7 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             self._send(400, {"error": "invalid JSON body"})
             return
-        model = self.server.model  # type: ignore[attr-defined]
+        model = self.server.model
         answer = {"/api/generate": model.complete,
                   "/api/embeddings": model.embeddings}.get(self.path)
         if answer is None:
@@ -208,17 +208,27 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-class _Server(ThreadingHTTPServer):
-    """Keeps the connections it serves, so that stop() can close them: a
-    handler thread waits on its open connection for the next request, with no
-    idle timeout, and server_close() neither closes nor waits for it."""
+class MockLmServer(ThreadingHTTPServer):
+    """Threaded HTTP/1.1 server for MockModel; endpoint is http://127.0.0.1:<port>.
+    It keeps the connections it serves, so that stop() can close them: a handler
+    thread waits on its open connection for the next request, with no idle
+    timeout, and server_close() neither closes nor waits for it."""
 
     request_queue_size = 128  # the default of 5 drops bursts of first connects
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, model: MockModel, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _Handler)
+        self.model = model
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        # shutdown() waits up to one poll interval; the 0.5 s default slows stop().
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
 
     def process_request(self, request, client_address):
         with self._open_lock:
@@ -236,7 +246,13 @@ class _Server(ThreadingHTTPServer):
         if not isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
             super().handle_error(request, client_address)
 
-    def close_connections(self) -> None:
+    def start(self) -> "MockLmServer":
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        if self._thread.is_alive():  # else shutdown() waits forever on a loop never run
+            self.shutdown()
         with self._open_lock:
             open_now = list(self._open)
         for request in open_now:
@@ -244,33 +260,7 @@ class _Server(ThreadingHTTPServer):
                 request.shutdown(socket.SHUT_RDWR)  # wakes a handler blocked reading it
             except OSError:
                 pass  # the client closed it first
-
-
-class MockLmServer:
-    """Threaded HTTP/1.1 wrapper around MockModel; endpoint is http://127.0.0.1:<port>."""
-
-    def __init__(self, model: MockModel, host: str = "127.0.0.1", port: int = 0):
-        self.model = model
-        self._httpd = _Server((host, port), _Handler)
-        self._httpd.model = model  # type: ignore[attr-defined]
-        # shutdown() waits up to one poll interval; the 0.5 s default slows stop().
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        kwargs={"poll_interval": 0.05}, daemon=True)
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "MockLmServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread.is_alive():  # else shutdown() waits forever on a loop never run
-            self._httpd.shutdown()
-        self._httpd.close_connections()
-        self._httpd.server_close()
+        self.server_close()
 
     def __enter__(self) -> "MockLmServer":
         return self.start()

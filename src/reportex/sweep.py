@@ -91,7 +91,11 @@ class PipelineConfig:
             check_sampling(self.temperature, self.top_k, self.top_p)
         except ValueError as e:
             raise SweepError(str(e)) from e
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        d = self.to_dict()
+        for name, value in _leaves(d):  # as a config's JSON form refuses them
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SweepError(f"{name} must be a finite number, not {value!r}")
+        canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
         object.__setattr__(self, "_hash", hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16])
 
     def to_dict(self) -> dict:
@@ -256,7 +260,10 @@ class PipelineBackends:
     reranker: RerankScorer
 
     @classmethod
-    def remote(cls, endpoint: str) -> "PipelineBackends":
+    def remote(cls, endpoint: str | None) -> "PipelineBackends":
+        """Backends on the model server at `endpoint`, which resolve_endpoint
+        checks here, so a missing or malformed one fails before any call."""
+        endpoint = lm_client.resolve_endpoint(endpoint)
         return cls(
             generate=lambda req: generate(endpoint, req),
             embedder=RemoteEmbedder(endpoint),
@@ -389,12 +396,14 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     A config whose prompt strategy the schema cannot render raises PromptError
     before any pair runs, and a report of another task than the schema's, two
     reports that share an id, two configs that share a config_hash, or a store
-    path that cannot be appended to, raises SweepError; the store file exists
-    once those checks pass. Workers run extractions concurrently (bounded
-    pool); only this thread appends to the store, one durable record per
-    completed pair. Backend failures become invalid records; any exception
-    that stops the sweep cancels the queued pairs. Interrupted sweeps resume
-    by skipping completed pairs.
+    path that cannot be appended to, raises SweepError. Without `backends`, an
+    endpoint that is missing (and EXTRACTOR_LM_ENDPOINT unset) or malformed
+    raises LmClientError. The store file exists once those checks pass.
+    Workers run extractions concurrently (bounded pool); only this thread
+    appends to the store, one durable record per completed pair. Backend
+    failures become invalid records; any exception that stops the sweep
+    cancels the queued pairs. Interrupted sweeps resume by skipping completed
+    pairs.
 
     Pairs are keyed by the hash each config computed when it was built. Each
     distinct generation request is sent once per call and its response shared

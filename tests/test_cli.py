@@ -3,6 +3,8 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -832,6 +834,23 @@ class TestOutputPaths:
         with pytest.raises(BrokenPipeError):
             main(["report", "--store", str(store), "--corpus", corpus_files["corpus"],
                   "--schema", corpus_files["schema"], "--grid", corpus_files["grid"]])
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, package_env, unbuffered):
+        # buffered, the output fails only at the final flush; unbuffered, at the first print
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"task": "radiology", "n_reports": 5, "seed": 3}))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "reportex.cli", "generate-corpus", "--spec", str(spec),
+                 "--out", str(tmp_path / "c.jsonl")],
+                env={**package_env, "PYTHONUNBUFFERED": unbuffered}, stdout=write_end,
+                stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     @pytest.mark.parametrize("option", ["--csv", "--json"])
     def test_report_output_in_missing_directory_exit_2(self, corpus_files, tmp_path, capsys,

@@ -94,6 +94,12 @@ class TestGenerationRequest:
         with pytest.raises(ValueError):
             GenerationRequest("m", "p", top_p=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_temperature_rejected(self, value):
+        # its body would hold NaN or Infinity, which is not JSON
+        with pytest.raises(ValueError, match="^temperature must be a finite number, not "):
+            GenerationRequest("m", "p", temperature=value)
+
 
 class TestGenerateWire:
     def test_oracle_answers_gold_label(self, oracle_server):
@@ -158,7 +164,7 @@ class TestErrorMapping:
         server, _, _ = oracle_server
         # not JSON; JSON but not UTF-8; JSON but not an object
         for body in (b"{not json", b'"\xff"', b"[1]"):
-            conn = http.client.HTTPConnection(*server._httpd.server_address[:2], timeout=5)
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
             try:
                 conn.request("POST", "/api/generate", body, {"Content-Type": "application/json"})
                 response = conn.getresponse()
@@ -427,7 +433,7 @@ class TestConnections:
         gold = {a.report_id: a.label for a in annotations}
         monkeypatch.setattr(_CountingHandler, "accepted", [])
         server = MockLmServer(MockModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports))
-        server._httpd.RequestHandlerClass = _CountingHandler
+        server.RequestHandlerClass = _CountingHandler
         with server:
             for report in reports[:20]:
                 resp = generate(server.endpoint, GenerationRequest("m", report.text))
@@ -537,7 +543,7 @@ class TestConnections:
 
     def test_listen_queue_takes_a_burst_of_connects(self):
         server = MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA))
-        address = server._httpd.server_address[:2]  # not started: nothing accepts
+        address = server.server_address[:2]  # not started: nothing accepts
         sockets = [socket.socket() for _ in range(32)]
         try:
             for s in sockets:
@@ -558,7 +564,7 @@ class TestConnections:
 
 class TestMockServerErrors:
     def _handle(self, exc):
-        server = mock_server._Server(("127.0.0.1", 0), mock_server._Handler)
+        server = MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA))
         try:
             try:
                 raise exc
@@ -582,7 +588,7 @@ class TestMockServerErrors:
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400_and_a_closed_connection(self, length, capsys):
         with MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)) as server:
-            with socket.create_connection(server._httpd.server_address[:2], timeout=2) as sock:
+            with socket.create_connection(server.server_address[:2], timeout=2) as sock:
                 sock.sendall(f"POST /api/generate HTTP/1.1\r\nHost: x\r\n"
                              f"Content-Length: {length}\r\n\r\n".encode("ascii"))
                 reply = b""
@@ -596,8 +602,8 @@ class TestMockServerErrors:
 
     def test_client_reset_mid_body_prints_nothing(self, capsys):
         with MockLmServer(MockModel(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)) as server:
-            open_now = server._httpd._open
-            with socket.create_connection(server._httpd.server_address[:2], timeout=2) as sock:
+            open_now = server._open
+            with socket.create_connection(server.server_address[:2], timeout=2) as sock:
                 sock.sendall(b"POST /api/generate HTTP/1.1\r\nHost: x\r\n"
                              b"Content-Length: 100\r\n\r\n{\"model\": ")
                 deadline = time.monotonic() + 5

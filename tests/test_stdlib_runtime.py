@@ -5,11 +5,15 @@ retrieval mode and two embedding models, and its report, with the mock server
 in a process of its own; an in-process sweep, its report and dense retrieval;
 and the mock's embedder, whose rows do not depend on the interpreter's hash
 seed. The installed-package CI job runs this module against the wheel, in an
-environment with no numpy installed."""
+environment with no numpy installed, and the last test keeps that job's list
+of test modules in step with the tests directory."""
 
+import ast
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 from reportex.corpus import (
     PATHOLOGY_SCHEMA,
@@ -173,3 +177,30 @@ def test_mock_embeddings_do_not_depend_on_the_hash_seed(package_env):
     assert len(rows[0]) == 3 and all(len(row) == 64 for row in rows[0])
     assert all(type(x) is float for row in rows[0] for x in row)
     assert any(x != 0.0 for x in rows[0][0])
+
+
+def _imported(path: Path) -> set[str]:
+    """The top-level names of the modules that a test module imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_installed_package_job_runs_every_test_module_without_numpy():
+    # test_perfbench_smoke stays out: it runs perfbench/, which imports reportex
+    # from src/, and the job deletes src/.
+    tests = Path(__file__).resolve().parent
+    workflow = (tests.parent / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    listed = {"test_" + name.strip()
+              for group in re.findall(r"tests/test_\{([^}]*)\}\.py", workflow)
+              for name in group.split(",")}
+    imports = {path.stem: _imported(path) for path in tests.glob("*.py")}
+    needs = {"numpy", "scipy", "requests"}
+    while more := {name for name, names in imports.items() if names & needs} - needs:
+        needs |= more  # a module that imports a test module that needs one needs it too
+    numpy_free = {name for name in imports if name.startswith("test_")} - needs
+    assert listed == numpy_free - {"test_perfbench_smoke"}

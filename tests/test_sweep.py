@@ -23,7 +23,7 @@ from reportex.corpus import (
     generate_synthetic_corpus,
 )
 from reportex.inputs import from_json
-from reportex.lm_client import GenerationResponse, TransportError
+from reportex.lm_client import GenerationResponse, LmClientError, TransportError
 from reportex.metrics import compute_metrics, confusion
 from reportex.mock_server import MockLmServer, MockMode, MockModel
 from reportex.postprocess import InvalidReason, ParsedLabel
@@ -260,6 +260,23 @@ class TestConfigIdentity:
             _config(**{field: value})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("temperature", {"temperature": math.nan}),
+        ("temperature", {"temperature": math.inf}),
+        ("param_count_b", {"param_count_b": math.nan}),
+        ("param_count_b", {"param_count_b": math.inf}),
+        ("retrieval.rerank_threshold",
+         {"retrieval": RetrievalSettings(rerank_threshold=math.nan)}),
+        ("retrieval.rerank_threshold",
+         {"retrieval": RetrievalSettings(rerank_threshold=-math.inf)}),
+        ("retrieval.bm25_k1", {"retrieval": RetrievalSettings(bm25_k1=math.inf)}),
+    ], ids=["temperature-nan", "temperature-inf", "param_count_b-nan", "param_count_b-inf",
+            "rerank_threshold-nan", "rerank_threshold--inf", "bm25_k1-inf"])
+    def test_non_finite_number_raises_sweep_error(self, field, kwargs):
+        # as the config's JSON form, which cannot hold the number, is refused
+        with pytest.raises(SweepError, match=f"^{field} must be a finite number, not "):
+            _config(**kwargs)
+
 
 class TestResultStore:
     def _record(self, rid, chash, label="2"):
@@ -479,6 +496,21 @@ class TestRunSweep:
             run_sweep(reports[:3], [config, config], None, tmp_path / "s.jsonl",
                       RADIOLOGY_SCHEMA, backends=backends)
         assert calls == [] and embedder.calls == [] and not (tmp_path / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("endpoint, message", [
+        (None, "no endpoint configured and EXTRACTOR_LM_ENDPOINT is unset"),
+        ("localhost:11434", "endpoint must be an http:// or https:// URL: 'localhost:11434'"),
+    ], ids=["missing", "no-scheme"])
+    def test_bad_endpoint_raises_before_the_store_exists(self, tmp_path, radiology_corpus,
+                                                         monkeypatch, endpoint, message):
+        # an errored pair is never retried, so a store of them would stay
+        monkeypatch.delenv("EXTRACTOR_LM_ENDPOINT", raising=False)
+        reports, _ = radiology_corpus
+        with pytest.raises(LmClientError) as exc:
+            run_sweep(reports[:3], [PipelineConfig(model_name="m")], endpoint,
+                      tmp_path / "s.jsonl", RADIOLOGY_SCHEMA)
+        assert str(exc.value) == message
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_resume_matches_uninterrupted(self, tmp_path, radiology_corpus, oracle_backends):
         reports, _ = radiology_corpus

@@ -8,9 +8,9 @@ shape a reply per request stay in the module that uses them.
 
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
-from reportex.mock_server import MockModel
+from reportex.mock_server import MockLmServer, MockModel
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
@@ -29,7 +29,7 @@ class _CannedHandler(BaseHTTPRequestHandler):
         pass
 
 
-class CannedServer(ThreadingHTTPServer):
+class CannedServer(MockLmServer):
     """HTTP server on 127.0.0.1 that answers every POST with `status` and the
     bytes `body`, and logs each request's (target, body) in `requests`. With
     `close_after_reply`, it closes each connection after its reply without
@@ -37,13 +37,10 @@ class CannedServer(ThreadingHTTPServer):
     inside a `with` block."""
 
     def __init__(self, status, body, close_after_reply=False):
-        super().__init__(("127.0.0.1", 0), _CannedHandler)
+        super().__init__(None)  # no model: _CannedHandler answers
+        self.RequestHandlerClass = _CannedHandler
         self.status, self.body, self.close_after_reply = status, body, close_after_reply
         self.requests = []
-
-    @property
-    def endpoint(self):
-        return "http://%s:%d" % self.server_address[:2]
 
     @property
     def targets(self):
@@ -52,15 +49,6 @@ class CannedServer(ThreadingHTTPServer):
     @property
     def bodies(self):
         return [body for _, body in self.requests]
-
-    def __enter__(self):
-        threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05},
-                         daemon=True).start()
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()  # waits up to one poll interval
-        self.server_close()
 
 
 class RecordingModel(MockModel):
