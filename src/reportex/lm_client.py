@@ -6,7 +6,8 @@ completion comes back in the "response" field. POST <endpoint>/api/embeddings
 with {"model", "prompt"} returns {"embedding": [...]}. The environment
 variable EXTRACTOR_LM_ENDPOINT overrides any configured endpoint.
 resolve_endpoint refuses an endpoint that is not an http:// or https:// URL
-with a host and a valid port, so a bad one fails before any request.
+with a host and a valid port, or that has a query, a fragment or port 0, so
+a bad one fails before any request.
 
 Transport settings are the module constants DEFAULT_TIMEOUT (seconds per
 attempt), DEFAULT_RETRIES (extra attempts after a timeout or connection
@@ -43,7 +44,6 @@ from __future__ import annotations
 import http.client
 import ipaddress
 import json
-import math
 import os
 import threading
 import time
@@ -92,15 +92,18 @@ class ProtocolError(LmClientError):
 
 
 def check_sampling(temperature: float, top_k: int, top_p: float) -> None:
-    """ValueError unless the sampling options are ones a server accepts."""
-    if not math.isfinite(temperature):  # NaN or infinity is not JSON
-        raise ValueError(f"temperature must be a finite number, not {temperature!r}")
+    """ValueError unless sampling options of the right types are in the ranges a server accepts."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must be in (0, 1]")
+
+
+# The sampling options a request body carries; `seed` only when it is set.
+_OPTIONS = (("temperature", float, True), ("top_k", int, True), ("top_p", float, True),
+            ("seed", int, False))
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,7 @@ class GenerationRequest:
     seed: int | None = None
 
     def __post_init__(self):
+        check_object(self.to_payload()["options"], _OPTIONS)
         check_sampling(self.temperature, self.top_k, self.top_p)
 
     def to_payload(self) -> dict:
@@ -140,7 +144,7 @@ class GenerationResponse:
 
 def resolve_endpoint(configured: str | None) -> str:
     """The endpoint to use, EXTRACTOR_LM_ENDPOINT first; an http(s) URL with a
-    host and a valid port, or LmClientError."""
+    host, a valid port other than 0 and no query or fragment, or LmClientError."""
     endpoint = os.environ.get(ENDPOINT_ENV_VAR) or configured
     if not endpoint:
         raise LmClientError(f"no endpoint configured and {ENDPOINT_ENV_VAR} is unset")
@@ -151,6 +155,8 @@ def resolve_endpoint(configured: str | None) -> str:
         raise LmClientError(f"endpoint {endpoint!r}: {e}") from e
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise LmClientError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
+    if "?" in endpoint or "#" in endpoint or parts.port == 0:  # every request would fail
+        raise LmClientError(f"endpoint must have no query, no fragment and no port 0: {endpoint!r}")
     return endpoint.rstrip("/")
 
 

@@ -158,10 +158,7 @@ def _betainc(a: float, b: float, x: float) -> float:
 
 def t_two_sided_p(t: float, df: float) -> float:
     """Two-sided p-value for a t statistic with df degrees of freedom."""
-    if math.isinf(t):
-        return 0.0
-    if t == 0.0:
-        return 1.0
+    # t = ±inf gives x = 0 and p = 0, t = 0 gives x = 1 and p = 1: _betainc's bounds
     return float(_betainc(df / 2.0, 0.5, float(df / (df + t * t))))
 
 

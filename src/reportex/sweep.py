@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import lm_client
 from .corpus import LabelSchema, Report
-from .inputs import check_object, from_json
+from .inputs import check_object, dataclass_fields, from_json
 from .lm_client import GenerationRequest, GenerationResponse, LmClientError, check_sampling, generate
 from .metrics import (
     MetricsError,
@@ -81,20 +81,21 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a dict would pass as the JSON form of either, and read back as another config
+        if not (isinstance(self.prompt, PromptStrategy) and isinstance(self.retrieval, RetrievalSettings)):
+            raise SweepError("prompt must be a PromptStrategy and retrieval a RetrievalSettings")
+        d = self.to_dict()
+        try:  # the JSON form, against the table from_dict reads it with
+            check_object(d, dataclass_fields(PipelineConfig))
+            check_sampling(self.temperature, self.top_k, self.top_p)
+        except ValueError as e:
+            raise SweepError(str(e)) from e
         if not self.model_name:
             raise SweepError("model_name must be nonempty")
         if self.param_count_b <= 0:
             raise SweepError("param_count_b must be positive")
         if not 3 <= self.quant_bits <= 16:
             raise SweepError("quant_bits must be in 3..16")
-        try:
-            check_sampling(self.temperature, self.top_k, self.top_p)
-        except ValueError as e:
-            raise SweepError(str(e)) from e
-        d = self.to_dict()
-        for name, value in _leaves(d):  # as a config's JSON form refuses them
-            if isinstance(value, float) and not math.isfinite(value):
-                raise SweepError(f"{name} must be a finite number, not {value!r}")
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
         object.__setattr__(self, "_hash", hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16])
 

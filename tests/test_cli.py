@@ -384,7 +384,11 @@ class TestEndpointChecked:
         (None, "http://127.0.0.1:99999"),
         (None, "http://127.0.0.1:abc"),
         ("http://[::1", None),
-    ], ids=["no-scheme", "port-out-of-range", "port-not-a-number", "malformed-ipv6-host"])
+        ("http://127.0.0.1:11434?a=b", None),
+        ("http://127.0.0.1:11434#frag", None),
+        (None, "http://127.0.0.1:0"),
+    ], ids=["no-scheme", "port-out-of-range", "port-not-a-number", "malformed-ipv6-host", "query",
+            "fragment", "port-zero"])
     def test_bad_endpoint_exit_2(self, corpus_files, tmp_path, capsys, monkeypatch, command,
                                  configured, env):
         if env is not None:

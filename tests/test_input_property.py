@@ -11,9 +11,14 @@ input.
 
 The backend is a closed port and retries are off, so a valid sweep fails
 fast on every pair.
+
+A PipelineConfig or a GenerationRequest built in Python passes the same
+check as its JSON form, with the same wording, so every config that builds
+reads back from its JSON form as itself.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import tempfile
@@ -25,9 +30,10 @@ from hypothesis import strategies as st
 
 from reportex import cli, lm_client
 from reportex.corpus import RADIOLOGY_SCHEMA, Task, default_corpus_spec, generate_synthetic_corpus
+from reportex.lm_client import GenerationRequest
 from reportex.postprocess import ParsedLabel
 from reportex.retrieval import RetrievalSettings
-from reportex.sweep import ExtractionRecord, PipelineConfig, SweepGrid, enumerate_configs
+from reportex.sweep import ExtractionRecord, PipelineConfig, SweepError, SweepGrid, enumerate_configs
 
 CLOSED_ENDPOINT = "http://127.0.0.1:9"
 
@@ -156,3 +162,64 @@ def test_one_field_replaced_exits_with_a_documented_code(kind):
         assert _run(kind, content) in (0, 2, 3, 4)
 
     check()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([f.name for f in dataclasses.fields(PipelineConfig)]),
+       _NON_FINITE | _SCALARS | _JSON)
+def test_every_config_that_builds_reads_back_as_itself(name, value):
+    try:
+        config = dataclasses.replace(_BASE, **{name: value})
+    except SweepError:
+        return
+    back = PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert back == config and back.config_hash == config.config_hash
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("top_k", 2.5, "top_k must be an integer, not float"),
+    ("top_k", True, "top_k must be an integer, not bool"),
+    ("seed", True, "seed must be an integer, not bool"),
+    ("quant_bits", 4.5, "quant_bits must be an integer, not float"),
+    ("model_name", 5, "model_name must be a string, not int"),
+    ("retrieval.chunk_size", 70.5, "retrieval.chunk_size must be an integer, not float"),
+    ("prompt.style", "bogus", "prompt.style must be one of 'simple', 'complex', not 'bogus'"),
+], ids=["top_k-float", "top_k-bool", "seed-bool", "quant_bits-float", "model_name-int",
+        "chunk_size-float", "style-unknown"])
+def test_config_is_refused_as_its_json_form_is(path, value, message):
+    parent, _, name = path.rpartition(".")
+    d = _BASE.to_dict()
+    (d[parent] if parent else d)[name] = value
+    kwargs = ({parent: dataclasses.replace(getattr(_BASE, parent), **{name: value})} if parent
+              else {name: value})
+    with pytest.raises(SweepError) as built:
+        dataclasses.replace(_BASE, **kwargs)
+    with pytest.raises(SweepError) as read:
+        PipelineConfig.from_dict(d)
+    assert str(built.value) == message
+    assert str(read.value) == f"invalid pipeline config: {message}"
+
+
+@pytest.mark.parametrize("name, value", [("prompt", {"style": "simple"}), ("retrieval", "hybrid")],
+                         ids=["prompt-dict", "retrieval-str"])
+def test_config_part_of_another_type_is_refused(name, value):
+    # a dict in `prompt` would pass as its JSON form, and read back as a PromptStrategy
+    with pytest.raises(SweepError, match="^prompt must be a PromptStrategy and retrieval a "
+                                         "RetrievalSettings$"):
+        dataclasses.replace(_BASE, **{name: value})
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("top_k", math.inf, "top_k must be an integer, not Infinity"),
+    ("top_k", 2.5, "top_k must be an integer, not float"),
+    ("top_k", True, "top_k must be an integer, not bool"),
+    ("seed", math.inf, "seed must be an integer, not Infinity"),
+    ("seed", math.nan, "seed must be an integer, not NaN"),
+    ("seed", True, "seed must be an integer, not bool"),
+    ("seed", "x", "seed must be an integer, not str"),
+], ids=["top_k-inf", "top_k-float", "top_k-bool", "seed-inf", "seed-nan", "seed-bool",
+        "seed-str"])
+def test_request_is_refused_as_its_body_would_be(name, value, message):
+    with pytest.raises(ValueError) as exc:
+        GenerationRequest("m", "p", **{name: value})
+    assert str(exc.value) == message

@@ -97,7 +97,7 @@ class TestGenerationRequest:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_temperature_rejected(self, value):
         # its body would hold NaN or Infinity, which is not JSON
-        with pytest.raises(ValueError, match="^temperature must be a finite number, not "):
+        with pytest.raises(ValueError, match="^temperature must be a number, not "):
             GenerationRequest("m", "p", temperature=value)
 
 
@@ -133,6 +133,15 @@ class TestGenerateWire:
         resp = generate("http://127.0.0.1:9", GenerationRequest("m", reports[0].text))
         assert json.loads(resp.raw_text)["score"] == gold[reports[0].id]
         assert resolve_endpoint(None) == server.endpoint
+
+    @pytest.mark.parametrize("given, resolved", [
+        ("http://127.0.0.1:11434/", "http://127.0.0.1:11434"),
+        ("http://127.0.0.1:11434/v1", "http://127.0.0.1:11434/v1"),
+        ("https://models.example:8443/v1/", "https://models.example:8443/v1"),
+    ], ids=["trailing-slash", "path-prefix", "https-prefix-and-slash"])
+    def test_path_prefix_and_trailing_slash_resolve(self, monkeypatch, given, resolved):
+        monkeypatch.delenv("EXTRACTOR_LM_ENDPOINT", raising=False)
+        assert resolve_endpoint(given) == resolved
 
     def test_no_endpoint_configured(self, monkeypatch):
         monkeypatch.delenv("EXTRACTOR_LM_ENDPOINT", raising=False)

@@ -153,6 +153,10 @@ class TestTDistribution:
     def test_tiny_statistic_has_p_one(self):
         assert t_two_sided_p(1e-200, 5.0) == 1.0
 
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    def test_zero_statistic_has_p_one(self, t):
+        assert t_two_sided_p(t, 5.0) == 1.0
+
     def test_continued_fraction_that_does_not_converge_raises(self):
         with pytest.raises(MetricsError,
                            match="^incomplete beta continued fraction did not converge$"):

@@ -274,7 +274,7 @@ class TestConfigIdentity:
             "rerank_threshold-nan", "rerank_threshold--inf", "bm25_k1-inf"])
     def test_non_finite_number_raises_sweep_error(self, field, kwargs):
         # as the config's JSON form, which cannot hold the number, is refused
-        with pytest.raises(SweepError, match=f"^{field} must be a finite number, not "):
+        with pytest.raises(SweepError, match=f"^{field} must be a number, not "):
             _config(**kwargs)
 
 
@@ -500,7 +500,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("endpoint, message", [
         (None, "no endpoint configured and EXTRACTOR_LM_ENDPOINT is unset"),
         ("localhost:11434", "endpoint must be an http:// or https:// URL: 'localhost:11434'"),
-    ], ids=["missing", "no-scheme"])
+        ("http://127.0.0.1:11434?a=b",
+         "endpoint must have no query, no fragment and no port 0: 'http://127.0.0.1:11434?a=b'"),
+        ("http://127.0.0.1:11434#frag",
+         "endpoint must have no query, no fragment and no port 0: 'http://127.0.0.1:11434#frag'"),
+        ("http://127.0.0.1:0",
+         "endpoint must have no query, no fragment and no port 0: 'http://127.0.0.1:0'"),
+    ], ids=["missing", "no-scheme", "query", "fragment", "port-zero"])
     def test_bad_endpoint_raises_before_the_store_exists(self, tmp_path, radiology_corpus,
                                                          monkeypatch, endpoint, message):
         # an errored pair is never retried, so a store of them would stay
