@@ -14,7 +14,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .inputs import check_object, from_json
+from .inputs import InputError, check_object, dataclass_fields, from_json
 
 
 class CorpusError(ValueError):
@@ -142,6 +142,10 @@ class CorpusSpec:
 
     def __post_init__(self):
         _convert_task(self)
+        try:
+            check_object(vars(self), dataclass_fields(CorpusSpec))
+        except InputError as e:
+            raise CorpusError(str(e)) from e
         if self.n_reports < 1:
             raise CorpusError("n_reports must be >= 1")
         if self.length_mean_words <= 0 or self.length_sd_words <= 0:

@@ -225,7 +225,9 @@ def welch_t(a, b) -> StatTestResult:
     if se2 == 0.0:
         raise MetricsError("welch_t: zero variance in both samples, t undefined")
     t = (_mean(a) - _mean(b)) / math.sqrt(se2)
-    df = se2 * se2 / (ua * ua / (na - 1) + ub * ub / (nb - 1))
+    # from each sample's share of se2, which cannot underflow as ua * ua can
+    sa, sb = ua / se2, ub / se2
+    df = 1.0 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
     return StatTestResult("welch_t", t, df, t_two_sided_p(t, df), (na, nb))
 
 

@@ -133,11 +133,15 @@ def _frame(schema: LabelSchema, strategy: PromptStrategy) -> tuple[str, ...]:
     strategies put the task's built-in exemplars before the report, positives
     first and the not-reported one last; json_instruction appends an
     output-format instruction."""
+    try:
+        style, few_shot = PromptStyle(strategy.style), FewShot(strategy.few_shot)
+    except ValueError as e:  # e.g. "'bogus' is not a valid PromptStyle"
+        raise PromptError(str(e)) from e
     chosen: list[FewShotExemplar] = []
-    if strategy.few_shot != FewShot.NONE:
+    if few_shot is not FewShot.NONE:
         exemplars = default_exemplars(schema)
         chosen = [e for e in exemplars if e.answer != schema.nr_label]
-        if strategy.few_shot == FewShot.POSITIVE_AND_NEGATIVE:
+        if few_shot is FewShot.POSITIVE_AND_NEGATIVE:
             negatives = [e for e in exemplars if e.answer == schema.nr_label]
             if not negatives:
                 raise PromptError("few_shot=positive_and_negative requires a negative exemplar")
@@ -150,7 +154,7 @@ def _frame(schema: LabelSchema, strategy: PromptStrategy) -> tuple[str, ...]:
         "answer_key": schema.answer_key,
         "exemplars": _exemplar_block(chosen, schema, strategy.json_instruction),
     }
-    pieces = [_render(piece, values) for piece in _TEMPLATES[strategy.style].split("{context}")]
+    pieces = [_render(piece, values) for piece in _TEMPLATES[style].split("{context}")]
     if strategy.json_instruction:
         pieces[-1] += (f'\nReply with exactly one JSON object of the form '
                        f'{{"{schema.answer_key}": "<answer>"}} and no other text.\n')

@@ -69,6 +69,10 @@ class RetrievalSettings:
     def __post_init__(self):
         if self.mode not in RETRIEVAL_MODES:
             raise ValueError(f"mode must be one of {RETRIEVAL_MODES}")
+        ranged = (self.chunk_size, self.overlap, self.candidates, self.shortlist,
+                  self.bm25_k1, self.bm25_b)
+        if not all(isinstance(value, (int, float)) for value in ranged):
+            return  # a value of the wrong type is PipelineConfig's field check to word
         _check_chunking(self.chunk_size, self.overlap)
         if self.candidates < 1 or self.shortlist < self.candidates:
             raise ValueError("require shortlist >= candidates >= 1")

@@ -28,7 +28,7 @@ from reportex.prompting import FewShot, PromptStrategy
 from reportex.retrieval import RetrievalSettings
 from reportex.postprocess import ParsedLabel
 from reportex.sweep import ExtractionRecord, PipelineConfig, ResultStore, SweepGrid, enumerate_configs
-from wire_doubles import CannedServer
+from wire_doubles import CannedServer, RecordingModel
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +62,6 @@ def corpus_files(tmp_path_factory):
         "endpoint": server.endpoint,
     }
     server.stop()
-
-
-class _ZeroVectorModel(MockModel):
-    """Mock whose every embedding is an all-zero row."""
-
-    def embeddings(self, payload):
-        return {"embedding": [0.0] * 8}
 
 
 def _few_shot_files(root):
@@ -319,8 +312,8 @@ class TestExtract:
         config = tmp_path / "dense_config.json"
         config.write_text(json.dumps(PipelineConfig(
             model_name="mock-7b", retrieval=RetrievalSettings(mode="dense")).to_dict()))
-        with MockLmServer(_ZeroVectorModel(MockMode.ORACLE, corpus_files["gold"],
-                                           RADIOLOGY_SCHEMA)) as server:
+        zero_rows = {"/api/embeddings": lambda _: {"embedding": [0.0] * 8}}
+        with MockLmServer(RecordingModel(gold=corpus_files["gold"], replies=zero_rows)) as server:
             assert main(["extract", str(path), "--config", str(config),
                          "--schema", corpus_files["schema"], "--endpoint", server.endpoint]) == 3
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -150,6 +151,16 @@ class TestCorpusSpec:
     def test_unknown_task_rejected(self):
         with pytest.raises(CorpusError, match="unknown task 'bogus'"):
             CorpusSpec("bogus", 2, dict(RADIOLOGY_DISTRIBUTION), 265.0, 66.0, 0.1, 1)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_reports", "x", "n_reports must be an integer, not str"),
+        ("seed", 1.5, "seed must be an integer, not float"),
+        ("distractor_rate", None, "distractor_rate must be a number, not null"),
+        ("class_distribution", {"NR": "1"}, "class_distribution.NR must be a number, not str"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, name, value, message):
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            replace(default_corpus_spec(Task.RADIOLOGY, 2, 1), **{name: value})
 
 
 class TestSyntheticCorpus:

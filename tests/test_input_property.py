@@ -184,8 +184,15 @@ def test_every_config_that_builds_reads_back_as_itself(name, value):
     ("model_name", 5, "model_name must be a string, not int"),
     ("retrieval.chunk_size", 70.5, "retrieval.chunk_size must be an integer, not float"),
     ("prompt.style", "bogus", "prompt.style must be one of 'simple', 'complex', not 'bogus'"),
+    ("retrieval.bm25_b", None, "retrieval.bm25_b must be a number, not null"),
+    ("retrieval.bm25_k1", "x", "retrieval.bm25_k1 must be a number, not str"),
+    ("retrieval.candidates", None, "retrieval.candidates must be an integer, not null"),
+    ("retrieval.chunk_size", "x", "retrieval.chunk_size must be an integer, not str"),
+    ("retrieval.overlap", None, "retrieval.overlap must be an integer, not null"),
+    ("retrieval.shortlist", "x", "retrieval.shortlist must be an integer, not str"),
 ], ids=["top_k-float", "top_k-bool", "seed-bool", "quant_bits-float", "model_name-int",
-        "chunk_size-float", "style-unknown"])
+        "chunk_size-float", "style-unknown", "bm25_b-null", "bm25_k1-str", "candidates-null",
+        "chunk_size-str", "overlap-null", "shortlist-str"])
 def test_config_is_refused_as_its_json_form_is(path, value, message):
     parent, _, name = path.rpartition(".")
     d = _BASE.to_dict()

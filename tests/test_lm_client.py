@@ -47,7 +47,7 @@ from reportex.retrieval import (
     tokenize,
 )
 from reportex.sweep import PipelineConfig, record_seed, run_sweep
-from wire_doubles import CannedServer
+from wire_doubles import CannedServer, RecordingModel
 
 # Replies for a CannedServer: an answer to every generate, and a proxy's own answer.
 _SCORE_2 = json.dumps({"model": "m", "response": '{"score": "2"}'}).encode()
@@ -150,19 +150,12 @@ class TestGenerateWire:
             resolve_endpoint(None)
 
 
-class _FailingModel(MockModel):
-    """Mock whose embeddings raise: a model call that fails inside the server."""
-
-    def __init__(self):
-        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)
-
-    def embeddings(self, payload):
-        raise ModuleNotFoundError("No module named 'numpy'")
-
-
 class TestErrorMapping:
     def test_failing_model_is_protocol_error_500_at_once(self):
-        with MockLmServer(_FailingModel()) as server:
+        def embeddings(payload):  # a model call that fails inside the server
+            raise ModuleNotFoundError("No module named 'numpy'")
+
+        with MockLmServer(RecordingModel(replies={"/api/embeddings": embeddings})) as server:
             with pytest.raises(ProtocolError) as info:
                 embed(server.endpoint, "m", ["a", "b"])
         assert info.value.status == 500
@@ -256,23 +249,13 @@ class TestEmbedWire:
         assert all(type(row) is list and all(type(x) is float for x in row) for row in rows)
 
 
-class _ReplyModel(MockModel):
-    """Mock that answers each embedding prompt with `replies[prompt]`."""
-
-    def __init__(self, replies):
-        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)
-        self.replies = replies
-
-    def embeddings(self, payload):
-        return self.replies[payload["prompt"]]
-
-
 def _chunks(n):
     return [Chunk("r", i, f"chunk {i}", i, i + 1) for i in range(n)]
 
 
 def _embed_replies(replies):
-    with MockLmServer(_ReplyModel(replies)) as server:
+    with MockLmServer(RecordingModel(replies={
+            "/api/embeddings": lambda payload: replies[payload["prompt"]]})) as server:
         return embed(server.endpoint, "m", list(replies))
 
 
@@ -318,35 +301,6 @@ class TestEmbedRows:
             VectorIndex(_chunks(2), rows)
 
 
-class _InFlightModel(MockModel):
-    """Mock whose embeddings take `delay` seconds; records each prompt and the
-    peak number of embedding requests in flight. `fail_prompt` gets a reply
-    with no embedding field."""
-
-    def __init__(self, seed=0, delay=0.02, fail_prompt=None):
-        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA, seed=seed)
-        self.delay = delay
-        self.fail_prompt = fail_prompt
-        self.lock = threading.Lock()
-        self.in_flight = 0
-        self.peak = 0
-        self.seen = []
-
-    def embeddings(self, payload):
-        with self.lock:
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-            self.seen.append(payload["prompt"])
-        try:
-            time.sleep(self.delay)
-            if payload["prompt"] == self.fail_prompt:
-                return {}
-            return super().embeddings(payload)
-        finally:
-            with self.lock:
-                self.in_flight -= 1
-
-
 def _texts(n, tag=""):
     return [f"{tag} finding {i} idh status report section {i * 7}" for i in range(n)]
 
@@ -363,7 +317,7 @@ def _drain_embed_pool():
 
 class TestEmbedConcurrency:
     def test_in_flight_bounded_across_callers(self):
-        model = _InFlightModel()
+        model = RecordingModel(embed_delay=0.02)
         a, b = _texts(40, "a"), _texts(40, "b")
         with MockLmServer(model) as server, ThreadPoolExecutor(2) as callers:
             start = threading.Barrier(2)
@@ -375,27 +329,30 @@ class TestEmbedConcurrency:
             rows_a, rows_b = callers.map(call, [a, b])
         # two callers that each sent one request at a time would peak at 2
         assert 2 < model.peak <= EMBED_CONCURRENCY
-        assert sorted(model.seen) == sorted(a + b)
+        assert sorted(p["prompt"] for p in model.payloads("/api/embeddings")) == sorted(a + b)
         expected = MockHashEmbedder(64, 0)
         assert rows_a == expected.embed(a, "gte-large")
         assert rows_b == expected.embed(b, "gte-large")
 
     def test_rows_in_input_order(self):
         texts = _texts(30)
-        with MockLmServer(_InFlightModel(seed=5, delay=0.0)) as server:
+        with MockLmServer(RecordingModel(seed=5)) as server:
             rows = embed(server.endpoint, "gte-large", texts)
         assert rows == MockHashEmbedder(64, 5).embed(texts, "gte-large")
 
     def test_first_failure_cancels_queued_requests(self):
         texts = _texts(100)
-        model = _InFlightModel(fail_prompt=texts[0])
+        # the first text's reply has no embedding field
+        model = RecordingModel(embed_delay=0.02, replies={
+            "/api/embeddings": lambda payload: {} if payload["prompt"] == texts[0] else None})
         with MockLmServer(model) as server:
             with pytest.raises(ProtocolError,
                                match="embedding must be a list of numbers, not missing"):
                 embed(server.endpoint, "gte-large", texts)
             _drain_embed_pool()
-        assert texts[0] in model.seen
-        assert len(model.seen) < 50
+        seen = [payload["prompt"] for payload in model.payloads("/api/embeddings")]
+        assert texts[0] in seen
+        assert len(seen) < 50
 
     def test_import_starts_no_threads(self, package_env):
         subprocess.run([sys.executable, "-c",

@@ -257,6 +257,13 @@ class TestTTests:
         with pytest.raises(MetricsError):
             welch_t([2, 2], [2, 2, 2])
 
+    def test_welch_subnormal_variances(self):
+        # each sample's squared variance underflows to 0; the result is the scaled samples'
+        ours = welch_t([0.0, 1e-160, 2e-160], [5e-161, 1e-160, 0.0])
+        scaled = welch_t([0.0, 1.0, 2.0], [0.5, 1.0, 0.0])
+        for name in ("statistic", "df", "p_value"):
+            assert getattr(ours, name) == pytest.approx(getattr(scaled, name), rel=1e-3)
+
 
 class TestSampleChecks:
     @pytest.mark.parametrize("test, message", [

@@ -98,6 +98,15 @@ class TestBuildPrompt:
             with pytest.raises(PromptError, match="schema has no label '2'"):
                 check_strategies(schema, zero_shot + [strategy])
 
+    @pytest.mark.parametrize("field, kind", [("style", "PromptStyle"), ("few_shot", "FewShot")])
+    def test_unknown_style_or_few_shot_rejected(self, radiology_schema, field, kind):
+        # a strategy built in code skips PipelineConfig's check of its JSON form
+        strategy = PromptStrategy(**{field: "bogus"})
+        with pytest.raises(PromptError, match=f"^'bogus' is not a valid {kind}$"):
+            check_strategies(radiology_schema, [strategy])
+        with pytest.raises(PromptError, match="'bogus'"):
+            build_prompt(_ctx(), radiology_schema, strategy)
+
 
 class TestDefaultExemplars:
     def test_radiology_three_with_nr_last(self, radiology_schema):

@@ -1194,34 +1194,6 @@ class _BuggyEmbedder:
         raise ValueError("a programming error")
 
 
-class _ReplyModel(MockModel):
-    """Mock whose every /api/generate reply body is `reply`."""
-
-    def __init__(self, reply):
-        super().__init__(MockMode.ORACLE, {}, RADIOLOGY_SCHEMA)
-        self.reply = reply
-
-    def complete(self, payload):
-        return self.reply
-
-
-class _RowModel(MockModel):
-    """Oracle mock whose /api/embeddings answers with `row` for the retrieval
-    query (`target` "query") or for each report's first chunk ("chunk")."""
-
-    def __init__(self, gold, reports, target, row):
-        super().__init__(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports)
-        self.texts = [r.text for r in reports]
-        self.target, self.row = target, row
-
-    def embeddings(self, payload):
-        prompt = payload["prompt"]
-        if (prompt == RADIOLOGY_SCHEMA.retrieval_keywords if self.target == "query"
-                else any(text.startswith(prompt) for text in self.texts)):
-            return {"embedding": self.row}
-        return super().embeddings(payload)
-
-
 # Rows the client passes on and VectorIndex refuses, as a chunk row and as the query row.
 _UNFIT_ROWS = {
     "empty": [],
@@ -1291,7 +1263,10 @@ class TestPairExceptions:
                                                               radiology_corpus):
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
-        model = _RowModel(gold, reports, "chunk", [math.nan] + [0.0] * 63)
+        nan_row = {"embedding": [math.nan] + [0.0] * 63}  # for each report's first chunk
+        model = RecordingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports, replies={
+            "/api/embeddings": lambda payload: nan_row if any(
+                r.text.startswith(payload["prompt"]) for r in reports) else None})
         with MockLmServer(model) as server:
             store = run_sweep(reports[:2], _mode_configs(("off", "dense")), server.endpoint,
                               tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
@@ -1309,7 +1284,14 @@ class TestPairExceptions:
                                                                  radiology_corpus, target, row):
         reports, annotations = radiology_corpus
         gold = {a.report_id: a.label for a in annotations}
-        with MockLmServer(_RowModel(gold, reports[:2], target, row)) as server:
+        def embeddings(payload):  # `row` for the query, or for each report's first chunk
+            prompt = payload["prompt"]
+            if (prompt == RADIOLOGY_SCHEMA.retrieval_keywords if target == "query"
+                    else any(r.text.startswith(prompt) for r in reports[:2])):
+                return {"embedding": row}
+
+        with MockLmServer(RecordingModel(MockMode.ORACLE, gold, RADIOLOGY_SCHEMA, reports[:2],
+                                         replies={"/api/embeddings": embeddings})) as server:
             store = run_sweep(reports[:2], _mode_configs(("off", "dense")), server.endpoint,
                               tmp_path / "s.jsonl", RADIOLOGY_SCHEMA, parallelism=2,
                               no_timestamps=True)
@@ -1331,7 +1313,7 @@ class TestPairExceptions:
                                                             reply, message):
         reports, _ = radiology_corpus
         path = tmp_path / "s.jsonl"
-        with MockLmServer(_ReplyModel(reply)) as server:
+        with MockLmServer(RecordingModel(replies={"/api/generate": lambda _: reply})) as server:
             store = run_sweep(reports[:2], [_config()], server.endpoint, path, RADIOLOGY_SCHEMA,
                               parallelism=2, no_timestamps=True)
         assert len(store) == 2

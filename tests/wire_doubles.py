@@ -1,16 +1,17 @@
 """The two wire doubles that Tier-1's tests share.
 
 CannedServer answers every request with one fixed reply and logs what it was
-sent; RecordingModel is a MockModel that logs what it answers. Test modules
-import them by name, as pytest puts this directory on sys.path. Doubles that
-shape a reply per request stay in the module that uses them.
+sent; RecordingModel is a MockModel that logs what it answers, and takes any
+reply of a test's own as a function in `replies`. Test modules import them by
+name, as pytest puts this directory on sys.path.
 """
 
 import threading
 import time
 from http.server import BaseHTTPRequestHandler
 
-from reportex.mock_server import MockLmServer, MockModel
+from reportex.corpus import RADIOLOGY_SCHEMA
+from reportex.mock_server import MockLmServer, MockMode, MockModel
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
@@ -52,28 +53,44 @@ class CannedServer(MockLmServer):
 
 
 class RecordingModel(MockModel):
-    """A MockModel that logs each (route, payload) it answers in `log`, in
-    arrival order, and sleeps `embed_delay` seconds in each embedding."""
+    """A MockModel (by default a RADIOLOGY_SCHEMA oracle with no gold) that logs
+    each (route, payload) it answers in `log`, in arrival order, sleeps
+    `embed_delay` seconds in each embedding and keeps in `peak` the most
+    embeddings in flight at once. `replies` maps a route to a function of the
+    payload that returns the reply; where it returns None, MockModel answers.
+    What the function raises is the server's 500."""
 
-    def __init__(self, *args, embed_delay=0.0, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, mode=MockMode.ORACLE, gold=None, schema=RADIOLOGY_SCHEMA, reports=(), *,
+                 embed_delay=0.0, replies=None, **kwargs):
+        super().__init__(mode, gold or {}, schema, reports, **kwargs)
         self.embed_delay = embed_delay
+        self.replies = replies or {}
         self.log = []
+        self.peak = 0
+        self._in_flight = 0
         self._lock = threading.Lock()
 
     def payloads(self, route):
         """The payloads sent to `route`, in arrival order."""
         return [payload for r, payload in self.log if r == route]
 
-    def _record(self, route, payload):
-        with self._lock:
-            self.log.append((route, payload))
+    def _answer(self, route, payload, default):
+        reply = self.replies[route](payload) if route in self.replies else None
+        return default(payload) if reply is None else reply
 
     def complete(self, payload):
-        self._record("/api/generate", payload)
-        return super().complete(payload)
+        with self._lock:
+            self.log.append(("/api/generate", payload))
+        return self._answer("/api/generate", payload, super().complete)
 
     def embeddings(self, payload):
-        self._record("/api/embeddings", payload)
-        time.sleep(self.embed_delay)
-        return super().embeddings(payload)
+        with self._lock:
+            self.log.append(("/api/embeddings", payload))
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(self.embed_delay)
+            return self._answer("/api/embeddings", payload, super().embeddings)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
