@@ -183,7 +183,7 @@ def _connection(url: str) -> tuple[http.client.HTTPConnection, str]:
     """This thread's connection to the server of `url` (or to its proxy), and
     the request target to send on it."""
     parts = urllib.parse.urlsplit(url)
-    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    target = parts.path  # resolve_endpoint refuses a query
     proxy = None if _loopback(parts.hostname) else urllib.request.getproxies().get(parts.scheme)
     if proxy and urllib.request.proxy_bypass(parts.netloc):
         proxy = None

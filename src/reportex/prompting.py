@@ -10,12 +10,13 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from enum import Enum
+from enum import Enum, EnumMeta
 from functools import cache
 from importlib import resources
 from itertools import product, starmap
 
 from .corpus import LabelSchema, Task
+from .inputs import InputError, check_object, dataclass_fields
 from .retrieval import RetrievedContext
 
 
@@ -168,9 +169,20 @@ def build_prompt(context: RetrievedContext, schema: LabelSchema, strategy: Promp
     return context.selected_text.join(_frame(schema, strategy))
 
 
+# A strategy built in code skips PipelineConfig's check of its JSON form. Any
+# string passes for an Enum field here, and _frame words one outside the Enum.
+_STRATEGY_FIELDS = tuple((name, str if isinstance(kind, EnumMeta) else kind, required)
+                         for name, kind, required in dataclass_fields(PromptStrategy))
+
+
 def check_strategies(schema: LabelSchema, strategies) -> None:
-    """Raise PromptError if build_prompt cannot render one of `strategies` for `schema`."""
+    """Raise PromptError if one of `strategies` has a field of the wrong type, or
+    build_prompt cannot render it for `schema`."""
     for strategy in strategies:
+        try:
+            check_object(vars(strategy), _STRATEGY_FIELDS)
+        except InputError as e:
+            raise PromptError(str(e)) from e
         _frame(schema, strategy)
 
 

@@ -17,6 +17,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
+try:
+    import fcntl
+except ImportError:  # not POSIX: sweeps run without the store lock
+    fcntl = None
+
 from . import lm_client
 from .corpus import LabelSchema, Report
 from .inputs import check_object, dataclass_fields, from_json
@@ -396,10 +401,13 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
 
     A config whose prompt strategy the schema cannot render raises PromptError
     before any pair runs, and a report of another task than the schema's, two
-    reports that share an id, two configs that share a config_hash, or a store
-    path that cannot be appended to, raises SweepError. Without `backends`, an
-    endpoint that is missing (and EXTRACTOR_LM_ENDPOINT unset) or malformed
-    raises LmClientError. The store file exists once those checks pass.
+    reports that share an id, two configs that share a config_hash, a store
+    path that cannot be appended to, or a store that another sweep holds,
+    raises SweepError. Without `backends`, an endpoint that is missing (and
+    EXTRACTOR_LM_ENDPOINT unset) or malformed raises LmClientError. The store
+    file exists once those checks pass. Where fcntl exists (POSIX), the sweep
+    holds an exclusive flock on the store until it returns or raises, so one
+    store has one writer; elsewhere it runs unlocked.
     Workers run extractions concurrently (bounded pool); only this thread
     appends to the store, one durable record per completed pair. Backend
     failures become invalid records; any exception that stops the sweep
@@ -434,32 +442,38 @@ def run_sweep(reports: list[Report], configs: list[PipelineConfig], endpoint: st
     if backends is None:
         backends = PipelineBackends.remote(endpoint)
     try:
-        store = ResultStore.open(store_path)
-        open(store.path, "ab").close()  # a store that cannot take appends fails before any pair
+        lock = open(store_path, "ab")  # a store that cannot take appends fails before any pair
     except OSError as e:
         raise SweepError(f"{store_path}: cannot append to the result store ({e.strerror or e})") from e
-    pending = [(report, config) for config in configs for report in reports
-               if (report.id, config.config_hash) not in store]
-    # One memo per call: every run pays for its own embeddings and generations,
-    # and concurrent pairs wait for a single computation of what they share.
-    memo = SingleFlightMemo()
-    done = 0
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [
-            pool.submit(extract_one, report, schema, config, backends, no_timestamps, memo)
-            for report, config in pending
-        ]
-        # Consume in submission order: the store stays deterministic under a
-        # deterministic backend, and a crash only loses work that resume recomputes.
-        try:
-            for future in futures:
-                store.append(future.result())
-                done += 1
-                if progress is not None:
-                    progress(done, len(pending))
-        except BaseException:  # Ctrl-C, a failing append or progress callback
-            pool.shutdown(cancel_futures=True)
-            raise
+    with lock:  # released however the run ends
+        if fcntl is not None:
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise SweepError(f"{store_path}: in use by another sweep") from None
+        store = ResultStore.open(store_path)
+        pending = [(report, config) for config in configs for report in reports
+                   if (report.id, config.config_hash) not in store]
+        # One memo per call: every run pays for its own embeddings and generations,
+        # and concurrent pairs wait for a single computation of what they share.
+        memo = SingleFlightMemo()
+        done = 0
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            futures = [
+                pool.submit(extract_one, report, schema, config, backends, no_timestamps, memo)
+                for report, config in pending
+            ]
+            # Consume in submission order: the store stays deterministic under a
+            # deterministic backend, and a crash only loses work that resume recomputes.
+            try:
+                for future in futures:
+                    store.append(future.result())
+                    done += 1
+                    if progress is not None:
+                        progress(done, len(pending))
+            except BaseException:  # Ctrl-C, a failing append or progress callback
+                pool.shutdown(cancel_futures=True)
+                raise
     return store
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -443,6 +444,44 @@ class TestSweepAndReport:
         before = store.read_text()
         assert main(args) == 0
         assert store.read_text() == before
+
+    @pytest.mark.skipif(os.name != "posix", reason="the store lock is an fcntl.flock")
+    def test_second_sweep_on_a_store_in_use_exit_2(self, corpus_files, tmp_path, capsys):
+        def sweep(store, endpoint):
+            return main(["sweep", "--grid", corpus_files["grid"], "--corpus", corpus_files["corpus"],
+                         "--schema", corpus_files["schema"], "--store", str(store),
+                         "--endpoint", endpoint, "--parallelism", "1", "--no-timestamps"])
+
+        uninterrupted = tmp_path / "uninterrupted.jsonl"
+        assert sweep(uninterrupted, corpus_files["endpoint"]) == 0
+        # The server holds back its first reply until released, so the second
+        # sweep starts while the first holds the store and has stored nothing.
+        held, released = threading.Event(), threading.Event()
+
+        def hold(payload):
+            if not held.is_set():
+                held.set()
+                released.wait(30)
+            return None  # answer as the oracle does
+
+        store = tmp_path / "store.jsonl"
+        model = RecordingModel(gold=corpus_files["gold"], reports=corpus_files["reports"],
+                               replies={"/api/generate": hold})
+        with MockLmServer(model) as server:
+            codes = []
+            first = threading.Thread(target=lambda: codes.append(sweep(store, server.endpoint)))
+            first.start()
+            try:
+                assert held.wait(30)
+                capsys.readouterr()
+                assert sweep(store, server.endpoint) == 2
+                assert capsys.readouterr().err == f"error: {store}: in use by another sweep\n"
+                assert store.read_bytes() == b""
+            finally:
+                released.set()
+                first.join(60)
+        assert codes == [0]
+        assert store.read_bytes() == uninterrupted.read_bytes()
 
     def test_zero_parallelism_exit_2(self, corpus_files, tmp_path, capsys):
         store = tmp_path / "p0.jsonl"

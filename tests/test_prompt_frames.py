@@ -128,6 +128,19 @@ def test_a_strategy_that_fails_raises_on_every_call():
             build_prompt(RetrievedContext("x", False, None, ()), schema, strategy)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("style", ["simple"], "style must be a string, not list"),
+    ("few_shot", None, "few_shot must be a string, not null"),
+    ("json_instruction", "no", "json_instruction must be true or false, not str"),
+    ("json_instruction", 1, "json_instruction must be true or false, not int"),
+])
+def test_a_field_of_the_wrong_type_is_refused(field, value, message):
+    # a strategy built in code skips PipelineConfig's check of its JSON form
+    strategy = PromptStrategy(**{field: value})
+    with pytest.raises(PromptError, match=f"^{message}$"):
+        check_strategies(RADIOLOGY_SCHEMA, [PromptStrategy(), strategy])
+
+
 def test_equal_strategies_share_one_frame():
     # equal strategies hash alike, so a strategy spelled with plain strings
     # must render what its enum spelling renders, whichever is cached first

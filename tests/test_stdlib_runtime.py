@@ -4,17 +4,17 @@ imports the reportex this module imported: a sweep over HTTP across every
 retrieval mode and two embedding models, and its report, with the mock server
 in a process of its own; an in-process sweep, its report and dense retrieval;
 and the mock's embedder, whose rows do not depend on the interpreter's hash
-seed. The installed-package CI job runs this module against the wheel, in an
-environment with no numpy installed, and the last test keeps that job's list
-of test modules in step with the tests directory."""
+seed. The last test reads every module of that reportex and fails on an import
+from outside the standard library, or by a name computed at run time, on any
+code path."""
 
 import ast
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
 
+import reportex
 from reportex.corpus import (
     PATHOLOGY_SCHEMA,
     Task,
@@ -179,28 +179,32 @@ def test_mock_embeddings_do_not_depend_on_the_hash_seed(package_env):
     assert any(x != 0.0 for x in rows[0][0])
 
 
-def _imported(path: Path) -> set[str]:
-    """The top-level names of the modules that a test module imports."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _outside_the_standard_library(tree: ast.AST):
+    """(line, what) for each import of a module outside the standard library,
+    at module level or in a function, and each import by a computed name."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names.update(alias.name.partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.partition(".")[0])
-    return names
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not a relative import
+            modules = [node.module]
+        else:
+            modules = []
+        for module in modules:
+            if module.partition(".")[0] not in sys.stdlib_module_names:
+                yield node.lineno, f"import {module}"
+        used = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if used in ("__import__", "import_module"):
+            yield node.lineno, used
 
 
-def test_installed_package_job_runs_every_test_module_without_numpy():
-    # test_perfbench_smoke stays out: it runs perfbench/, which imports reportex
-    # from src/, and the job deletes src/.
-    tests = Path(__file__).resolve().parent
-    workflow = (tests.parent / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
-    listed = {"test_" + name.strip()
-              for group in re.findall(r"tests/test_\{([^}]*)\}\.py", workflow)
-              for name in group.split(",")}
-    imports = {path.stem: _imported(path) for path in tests.glob("*.py")}
-    needs = {"numpy", "scipy", "requests"}
-    while more := {name for name, names in imports.items() if names & needs} - needs:
-        needs |= more  # a module that imports a test module that needs one needs it too
-    numpy_free = {name for name in imports if name.startswith("test_")} - needs
-    assert listed == numpy_free - {"test_perfbench_smoke"}
+def test_the_package_imports_only_the_standard_library():
+    # Read, not run: this covers the code paths that no test takes, in the
+    # package this module imported (src/, or the installed wheel).
+    package = Path(reportex.__file__).resolve().parent
+    found = [f"{path.relative_to(package)}:{line}: {what}"
+             for path in sorted(package.rglob("*.py"))
+             for line, what in _outside_the_standard_library(
+                 ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert found == []
