@@ -36,12 +36,18 @@ def normalize_text(raw: str) -> str:
     return " ".join(raw.split())
 
 
-def _convert_task(obj) -> None:
-    """Set a frozen dataclass's `task` to its Task; an unknown task is a CorpusError."""
+def _check_fields(obj, **json_form) -> None:
+    """Set a frozen dataclass's `task` to its Task, then check its fields as
+    their JSON form is checked; `json_form` gives a field's JSON value where it
+    is not the field itself. An unknown task or a mismatch is a CorpusError."""
     try:
         object.__setattr__(obj, "task", Task(obj.task))
     except ValueError:
         raise CorpusError(f"unknown task {obj.task!r}") from None
+    try:
+        check_object({**vars(obj), **json_form}, dataclass_fields(type(obj)))
+    except InputError as e:
+        raise CorpusError(str(e)) from e
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class Report:
     text: str
 
     def __post_init__(self):
-        _convert_task(self)
+        _check_fields(self)
         if not self.id:
             raise CorpusError("report id must be nonempty")
         if "\n" in self.text or "\r" in self.text:
@@ -86,7 +92,9 @@ class LabelSchema:
     retrieval_keywords: str
 
     def __post_init__(self):
-        _convert_task(self)
+        labels = self.valid_labels
+        _check_fields(self, valid_labels=list(labels) if isinstance(labels, tuple) else labels)
+        object.__setattr__(self, "valid_labels", tuple(labels))
         if not self.answer_key:
             raise CorpusError("answer_key must be nonempty")
         folded = {l.strip().casefold(): l for l in self.valid_labels}
@@ -141,11 +149,7 @@ class CorpusSpec:
     seed: int
 
     def __post_init__(self):
-        _convert_task(self)
-        try:
-            check_object(vars(self), dataclass_fields(CorpusSpec))
-        except InputError as e:
-            raise CorpusError(str(e)) from e
+        _check_fields(self)
         if self.n_reports < 1:
             raise CorpusError("n_reports must be >= 1")
         if self.length_mean_words <= 0 or self.length_sd_words <= 0:

@@ -69,7 +69,9 @@ def _value(value, kind, path: str, closed: bool):
 
 
 _PLAIN = {
-    str: ("a string", lambda v: isinstance(v, str) and not _SURROGATE.search(v)),
+    # an ASCII string holds no surrogate, and isascii() reads a flag, not the characters
+    str: ("a string", lambda v: isinstance(v, str)
+          and (v.isascii() or not _SURROGATE.search(v))),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a number", lambda v: isinstance(v, int) and not isinstance(v, bool)
             or isinstance(v, float) and math.isfinite(v)),

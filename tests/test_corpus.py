@@ -26,7 +26,9 @@ from reportex.corpus import (
     save_corpus,
     save_schema,
 )
+from reportex.mock_server import MockMode, MockModel
 from reportex.postprocess import parse_label
+from reportex.prompting import PromptStrategy, check_strategies
 
 
 class TestNormalizeText:
@@ -78,6 +80,17 @@ class TestReport:
         with pytest.raises(CorpusError, match="unknown task 'bogus'"):
             Report("a", "bogus", "text")
 
+    @pytest.mark.parametrize("fields, message", [
+        ((7, Task.RADIOLOGY, "BT-RADS follow-up score: 2."), "id must be a string, not int"),
+        (("x", Task.RADIOLOGY, 5), "text must be a string, not int"),
+        (("x\ud800", Task.RADIOLOGY, "text"),
+         "id must be a string, not a string holding a lone surrogate"),
+    ], ids=["int-id", "int-text", "surrogate-id"])
+    def test_field_of_the_wrong_type_rejected(self, fields, message):
+        # An int id would reach the store, which then refuses to read it back.
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            Report(*fields)
+
 
 class TestSchema:
     def test_builtin_radiology_labels(self, radiology_schema):
@@ -109,6 +122,23 @@ class TestSchema:
         assert parse_label('{"score": "2"}', schema).label == "2"
         with pytest.raises(CorpusError, match="unknown task 'bogus'"):
             LabelSchema("bogus", ("2", "4", "NR"), "NR", "score", "kw")
+
+    def test_labels_given_as_a_list_are_kept_as_a_tuple(self):
+        schema = LabelSchema(Task.RADIOLOGY, ["2", "4", "NR"], "NR", "score", "kw")
+        assert schema == LabelSchema(Task.RADIOLOGY, ("2", "4", "NR"), "NR", "score", "kw")
+        assert type(schema.valid_labels) is tuple
+        check_strategies(schema, [PromptStrategy()])  # both hash the schema
+        MockModel(MockMode.ORACLE, {}, schema, [])
+
+    @pytest.mark.parametrize("labels, answer_key, message", [
+        ("abc", "score", "valid_labels must be a list of strings, not str"),
+        (("2", 4, "NR"), "score",
+         "valid_labels must be a list of strings, not a list holding int"),
+        (("2", "NR"), 3, "answer_key must be a string, not int"),
+    ], ids=["string-labels", "int-label", "int-answer-key"])
+    def test_field_of_the_wrong_type_rejected(self, labels, answer_key, message):
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            LabelSchema(Task.RADIOLOGY, labels, "NR", answer_key, "kw")
 
 
 class TestCorpusSpec:

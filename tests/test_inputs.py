@@ -60,6 +60,12 @@ class TestRules:
             "labels must be a list of strings, not a list holding int")
         assert _error({"n": 1, "labels": "a"}) == "labels must be a list of strings, not str"
 
+    @pytest.mark.parametrize("text", ["plain ascii", "Größe 3 cm", "\U0001f600"])
+    def test_a_string_passes_unless_it_holds_a_lone_surrogate(self, text):
+        assert check_object({"n": 1, "name": text}, TABLE)["name"] == text
+        assert _error({"n": 1, "name": text + "\ud800"}) == (
+            "name must be a string or null, not a string holding a lone surrogate")
+
     @pytest.mark.parametrize("item, shown", [
         (None, "null"), (math.nan, "NaN"), (-math.inf, "-Infinity"),
         ("\ud800", "a string holding a lone surrogate"),

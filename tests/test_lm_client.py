@@ -198,12 +198,6 @@ class TestErrorMapping:
             with pytest.raises(RequestTimeout):
                 generate(f"http://{host}:{port}", GenerationRequest("m", "p"))
 
-    def test_import_leaves_requests_unloaded(self, package_env):
-        subprocess.run([sys.executable, "-c",
-                        "import reportex.cli, reportex.mock_server, sys; "
-                        "assert 'requests' not in sys.modules"],
-                       check=True, env=package_env)
-
 
 class TestEmbedWire:
     def test_identical_texts_identical_vectors(self, oracle_server):
